@@ -70,9 +70,6 @@ void BM_PlanRouteScalarRevsort(benchmark::State& state) {
 BENCHMARK(BM_PlanRouteScalarRevsort)->Arg(1 << 10)->Arg(1 << 14);
 
 // Same shapes and batch as BM_RouteBatchRevsort (bench_sim_speed.cpp).
-// The *Legacy twins below run the identical workload through the
-// pre-analysis executor (ExecMode::kLegacy), so every fused gain in this
-// suite has its unfused baseline in the same JSON.
 void BM_PlanRouteBatchRevsort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   plan::PlanExecutor exec(plan::compile_revsort_plan(n, n / 2));
@@ -80,34 +77,12 @@ void BM_PlanRouteBatchRevsort(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanRouteBatchRevsort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_PlanRouteBatchRevsortLegacy(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  plan::PlanExecutor exec(plan::compile_revsort_plan(n, n / 2),
-                          plan::ExecMode::kLegacy);
-  route_batch_loop(state, exec, 64);
-}
-BENCHMARK(BM_PlanRouteBatchRevsortLegacy)
-    ->Arg(1 << 10)
-    ->Arg(1 << 14)
-    ->Arg(1 << 18);
-
 void BM_PlanRouteBatchColumnsort(benchmark::State& state) {
   const std::size_t r = static_cast<std::size_t>(state.range(0));
   plan::PlanExecutor exec(plan::compile_columnsort_plan(r, 16, r * 8));
   route_batch_loop(state, exec, 64);
 }
 BENCHMARK(BM_PlanRouteBatchColumnsort)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 14);
-
-void BM_PlanRouteBatchColumnsortLegacy(benchmark::State& state) {
-  const std::size_t r = static_cast<std::size_t>(state.range(0));
-  plan::PlanExecutor exec(plan::compile_columnsort_plan(r, 16, r * 8),
-                          plan::ExecMode::kLegacy);
-  route_batch_loop(state, exec, 64);
-}
-BENCHMARK(BM_PlanRouteBatchColumnsortLegacy)
-    ->Arg(1 << 8)
-    ->Arg(1 << 12)
-    ->Arg(1 << 14);
 
 // No counting kernel for the multipass/full families: this measures the
 // generic staged LaneBatch pipeline.
@@ -118,16 +93,6 @@ void BM_PlanRouteBatchMultipass(benchmark::State& state) {
   route_batch_loop(state, exec, 64);
 }
 BENCHMARK(BM_PlanRouteBatchMultipass)->Arg(1 << 8)->Arg(1 << 12);
-
-void BM_PlanRouteBatchMultipassLegacy(benchmark::State& state) {
-  const std::size_t r = static_cast<std::size_t>(state.range(0));
-  plan::PlanExecutor exec(
-      plan::compile_multipass_plan(r, 16, 3, r * 8,
-                                   plan::ReshapeSchedule::kAlternating),
-      plan::ExecMode::kLegacy);
-  route_batch_loop(state, exec, 64);
-}
-BENCHMARK(BM_PlanRouteBatchMultipassLegacy)->Arg(1 << 8)->Arg(1 << 12);
 
 void BM_PlanRouteBatchFullRevsort(benchmark::State& state) {
   plan::PlanExecutor exec(
@@ -146,15 +111,6 @@ void BM_PlanRouteBatchFaultyRevsort(benchmark::State& state) {
   route_batch_loop(state, exec, 64);
 }
 BENCHMARK(BM_PlanRouteBatchFaultyRevsort)->Arg(1 << 10)->Arg(1 << 14);
-
-void BM_PlanRouteBatchFaultyRevsortLegacy(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  plan::SwitchPlan p = plan::compile_revsort_plan(n, n / 2);
-  plan::apply_chip_faults(p, {plan::ChipFault{0, 3}, plan::ChipFault{1, 7}});
-  plan::PlanExecutor exec(std::move(p), plan::ExecMode::kLegacy);
-  route_batch_loop(state, exec, 64);
-}
-BENCHMARK(BM_PlanRouteBatchFaultyRevsortLegacy)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_PlanNearsortBatchRevsort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

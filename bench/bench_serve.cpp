@@ -118,10 +118,9 @@ void BM_ServeCacheHit(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   serve::PlanCache cache(256u << 20);
   const pcs::SwitchSpec spec = spec_for(n);
-  (void)cache.checkout(spec, pcs::plan::ExecMode::kFused);  // warm
+  (void)cache.checkout(spec);  // warm
   for (auto _ : state) {
-    serve::PlanCache::Checkout c =
-        cache.checkout(spec, pcs::plan::ExecMode::kFused);
+    serve::PlanCache::Checkout c = cache.checkout(spec);
     if (!c.hit) state.SkipWithError("expected a warm cache");
     benchmark::DoNotOptimize(c.sw.get());
   }
@@ -135,8 +134,7 @@ void BM_ServeCacheColdCompile(benchmark::State& state) {
   serve::PlanCache cache(0);
   const pcs::SwitchSpec spec = spec_for(n);
   for (auto _ : state) {
-    serve::PlanCache::Checkout c =
-        cache.checkout(spec, pcs::plan::ExecMode::kFused);
+    serve::PlanCache::Checkout c = cache.checkout(spec);
     if (c.hit) state.SkipWithError("budget 0 must never hit");
     benchmark::DoNotOptimize(c.sw.get());
   }

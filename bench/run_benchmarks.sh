@@ -9,8 +9,9 @@
 # fabric hop count (1/2/3 hops of the same plan-compiled node) for the
 # composition-overhead curve.  bench_plan runs the same batched-Revsort shapes as
 # bench_sim_speed so the plan executor's throughput can be compared
-# directly against the pre-plan engine, and carries a *Legacy twin for each
-# batched family so the fused/unfused A/B lands in one JSON.  bench_threads
+# directly against the pre-plan engine.  The *Legacy rows in the committed
+# BENCH_plan.json are a PR 6 record of the unfused engine, which has since
+# moved to tests/ as an oracle; a fresh run no longer emits them.  bench_threads
 # sweeps set_max_parallelism over 1/2/4/8 for the threads=1..N scaling
 # curve.  bench_traffic prices the composable traffic sources (valid-bit
 # epochs, destination draws, trace-record overhead, bound-stress search).

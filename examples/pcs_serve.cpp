@@ -24,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "traffic/trace.hpp"
 #include "util/assert.hpp"
-#include "plan/plan_analysis.hpp"
 #include "runtime/config.hpp"
 #include "runtime/fabric_runtime.hpp"
 #include "runtime/metrics.hpp"
@@ -240,11 +239,6 @@ int main(int argc, char** argv) {
   }
 
   if (cfg.threads != 0) pcs::set_max_parallelism(cfg.threads);
-  // exec=legacy drops every compiled plan to the unfused oracle engine, so
-  // the serving metrics A/B the fused path (threads= sweeps compose).
-  pcs::plan::set_default_exec_mode(cfg.exec == "legacy"
-                                       ? pcs::plan::ExecMode::kLegacy
-                                       : pcs::plan::ExecMode::kFused);
   bool tracing = !cfg.trace.empty();
   if (tracing && !pcs::obs::kCompiledIn) {
     std::fprintf(stderr,

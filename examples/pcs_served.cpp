@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "plan/plan_analysis.hpp"
 #include "runtime/config.hpp"
 #include "serve/daemon.hpp"
 #include "util/parallel.hpp"
@@ -68,9 +67,6 @@ int main(int argc, char** argv) {
   }
 
   if (cfg.threads != 0) pcs::set_max_parallelism(cfg.threads);
-  pcs::plan::set_default_exec_mode(cfg.exec == "legacy"
-                                       ? pcs::plan::ExecMode::kLegacy
-                                       : pcs::plan::ExecMode::kFused);
 
   pcs::serve::ServeOptions opts;
   opts.socket_path = cfg.serve_socket;

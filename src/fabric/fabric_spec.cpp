@@ -96,9 +96,9 @@ SwitchSpec FabricSpec::node_spec_at(std::size_t hop) const {
   return spec;
 }
 
-std::uint64_t FabricSpec::digest(plan::ExecMode exec) const {
+std::uint64_t FabricSpec::digest() const {
   Digest d;
-  d.mix_u64(node.digest(exec));
+  d.mix_u64(node.digest());
   d.mix_byte(static_cast<std::uint8_t>(topology));
   d.mix_u64(hops);
   d.mix_u64(radix);

@@ -64,11 +64,9 @@ struct FabricSpec {
 
   /// Stable FNV-1a fingerprint over EVERY spec field: the node switch's own
   /// digest, the wiring shape, flow control, allocator and route policy
-  /// strings (length-prefixed), deflection cap, and fault hop.  `exec`
-  /// feeds through the node digest for the same reason as SwitchSpec: plans
-  /// built for one engine must not be served as the other.  Pinned by a
+  /// strings (length-prefixed), deflection cap, and fault hop.  Pinned by a
   /// golden test (test_fabric_spec.cpp) so it cannot silently drift.
-  std::uint64_t digest(plan::ExecMode exec = plan::ExecMode::kFused) const;
+  std::uint64_t digest() const;
 };
 
 }  // namespace pcs

@@ -105,7 +105,6 @@
 #include "runtime/config.hpp"
 #include "runtime/fabric_runtime.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/stats_bridge.hpp"
 #include "runtime/trace_bridge.hpp"
 
 #include "fabric/allocator.hpp"

@@ -13,44 +13,9 @@ namespace pcs::plan {
 
 namespace {
 
-/// Per-column populations -> histogram -> CSR row offsets.  Row t of the
-/// sorted matrix has one slot per column with more than t valids, so suffix
-/// sums of the population histogram give the row lengths and a prefix scan
-/// the offsets.  Requires whole valid-words per column (v >= 64).  Returns
-/// the number of nonempty rows.
-std::size_t build_row_offsets(const std::vector<std::uint64_t>& words,
-                              std::size_t v, std::size_t wpc,
-                              RevsortScratch& s) {
-  std::uint32_t* histo = s.col_count.data();
-  std::memset(histo, 0, (v + 1) * sizeof(std::uint32_t));
-  std::size_t maxc = 0;
-  for (std::size_t c = 0; c < v; ++c) {
-    std::uint32_t cnt = 0;
-    for (std::size_t j = 0; j < wpc; ++j) {
-      cnt += static_cast<std::uint32_t>(std::popcount(words[c * wpc + j]));
-    }
-    ++histo[cnt];
-    if (cnt > maxc) maxc = cnt;
-  }
-  std::uint32_t acc = 0;
-  for (std::size_t t = maxc; t-- > 0;) {
-    acc += histo[t + 1];
-    s.row_start[t] = acc;  // row length, rewritten to the offset below
-  }
-  std::uint32_t start = 0;
-  for (std::size_t t = 0; t < maxc; ++t) {
-    const std::uint32_t len = s.row_start[t];
-    s.row_start[t] = start;
-    s.cursor[t] = start;
-    start += len;
-  }
-  s.row_start[maxc] = start;
-  return maxc;
-}
-
-/// The dense-prefix kernels' variant of the count pass: per-column valid
-/// counts (into s.row_count), plus CSR offsets restricted to the ragged
-/// rows [minc, maxc) — the dense prefix never touches the CSR at all.
+/// The dense-prefix kernels' count pass: per-column valid counts (into
+/// s.row_count), plus CSR offsets restricted to the ragged rows
+/// [minc, maxc) — the dense prefix never touches the CSR at all.
 void build_ragged_offsets(const std::vector<std::uint64_t>& words,
                           std::size_t v, std::size_t wpc, RevsortScratch& s,
                           std::uint32_t& minc, std::uint32_t& maxc) {
@@ -88,7 +53,7 @@ void build_ragged_offsets(const std::vector<std::uint64_t>& words,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Legacy scalar kernel (PR 1, moved verbatim from plan_executor.cpp).
+// Scalar kernel (any power-of-two side; the executor's choice for v < 64).
 // ---------------------------------------------------------------------------
 
 // Replays the staged route as pure rank arithmetic on the set bits.  Stage 1
@@ -156,7 +121,7 @@ sw::SwitchRouting revsort_route_kernel(const BitVec& valid, std::size_t m,
 }
 
 // ---------------------------------------------------------------------------
-// Dense-prefix scalar kernel (fused mode, v >= 64).
+// Dense-prefix scalar kernel (v >= 64).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -172,7 +137,7 @@ namespace {
 //  - output_of_input is produced in input order during the column scan
 //    (phase A), one sequential write stream covering hits and -1s alike;
 //  - dense items stage only their 16-bit intra-column bit offset (col_x16),
-//    a quarter of the legacy CSR traffic, and input_of_output's dense rows
+//    a quarter of the flat CSR traffic, and input_of_output's dense rows
 //    are emitted as whole rotated rows (phase B), sequential again;
 //  - only items at ranks >= minc are "ragged" and take the CSR + scatter
 //    path (phase C), seeded with the dense prefix's per-column fill counts.
@@ -261,7 +226,7 @@ sw::SwitchRouting revsort_route_dense_scalar(
       }
     }
   }
-  // Phase C: the ragged rows take the legacy row walk, with every stage-3
+  // Phase C: the ragged rows take the CSR row walk, with every stage-3
   // column fill seeded by the one item per column each dense row emitted.
   std::uint32_t* col3 = s.col3_count.data();
   for (std::size_t j = 0; j < v; ++j) col3[j] = dense_rows;
@@ -293,117 +258,6 @@ bool cpu_has_avx512f_impl() {
       __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("bmi2");
   return ok;
 }
-
-}  // namespace
-
-// AVX-512 lane-parallel variant of the counting kernel, used when each
-// matrix column is a whole number of 64-bit words (v >= 64).  Three ideas:
-//  - within a column the t-th set bit goes to row t, so the CSR cursors a
-//    column consumes form one contiguous block: compress the set-bit labels
-//    straight out of the mask word and scatter them in 16-lane groups;
-//  - rows are walked in two wrap-free segments, so the stage-3 column fills
-//    sit at consecutive addresses and need plain loads/stores, not gathers;
-//  - only the two routing-table writes are true scatters, and both are
-//    conflict-free within a row (distinct outputs, distinct inputs).
-__attribute__((target("avx512f")))
-sw::SwitchRouting revsort_route_kernel_avx512(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s) {
-  const std::size_t n = valid.size();
-  const auto& words = valid.words();
-  const std::size_t wpc = v / 64;  // words per column; exact since v >= 64
-  const std::size_t maxc = build_row_offsets(words, v, wpc, s);
-  const __m512i iota =
-      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i one = _mm512_set1_epi32(1);
-  // Counting sort without the label staging pass: compress each column's
-  // set-bit labels out of the valid words and scatter them to cursor[t]
-  // (t = in-column rank, so the cursor block is a contiguous load).
-  std::uint32_t* row_x = s.row_x.data();
-  std::uint32_t* cursor = s.cursor.data();
-  for (std::size_t c = 0; c < v; ++c) {
-    std::uint32_t fill = 0;
-    const std::uint32_t base = static_cast<std::uint32_t>(c * v);
-    for (std::size_t j = 0; j < wpc; ++j) {
-      const std::uint64_t w = words[c * wpc + j];
-      if (w == 0) continue;
-      const std::uint32_t wb = base + static_cast<std::uint32_t>(j * 64);
-      for (unsigned h = 0; h < 4; ++h) {
-        const __mmask16 mk = static_cast<__mmask16>((w >> (16 * h)) & 0xFFFF);
-        if (!mk) continue;
-        const unsigned pc = static_cast<unsigned>(std::popcount(
-            static_cast<std::uint32_t>(mk)));
-        const __m512i xv = _mm512_maskz_compress_epi32(
-            mk, _mm512_add_epi32(
-                    _mm512_set1_epi32(static_cast<int>(wb + 16 * h)), iota));
-        const __m512i idx = _mm512_loadu_si512(cursor + fill);
-        const __mmask16 lanes = static_cast<__mmask16>((1u << pc) - 1);
-        _mm512_mask_i32scatter_epi32(row_x, lanes, idx, xv, 4);
-        fill += pc;
-      }
-    }
-    // Advance the one cursor slot per row this column consumed.
-    for (std::uint32_t t = 0; t < fill; t += 16) {
-      const __mmask16 mt =
-          static_cast<__mmask16>((1u << std::min(16u, fill - t)) - 1);
-      _mm512_mask_storeu_epi32(
-          cursor + t, mt,
-          _mm512_add_epi32(_mm512_maskz_loadu_epi32(mt, cursor + t), one));
-    }
-  }
-  // Stages 2+3: the shifter maps stage-2 rank j2 to column (rev(t)+j2) mod v.
-  // Splitting each row at the wrap point keeps j3 consecutive, so the stage-3
-  // fills are contiguous loads/stores and only the routing tables scatter.
-  // Each row runs as two passes: first compute every position into pos_buf
-  // (scratch-only traffic), then scatter from sequential reads.  Interleaving
-  // the col3 loads with the table scatters instead makes the kernel hostage
-  // to 4K store-to-load aliasing against the caller-controlled output
-  // addresses, which more than doubled its time for unlucky heap layouts.
-  sw::SwitchRouting out;
-  out.output_of_input.assign(n, -1);
-  out.input_of_output.assign(m, -1);
-  std::uint32_t* col3 = s.col3_count.data();
-  std::uint32_t* pos_buf = s.pos_buf.data();
-  std::memset(col3, 0, v * sizeof(std::uint32_t));
-  std::int32_t* in_out = out.input_of_output.data();
-  std::int32_t* out_in = out.output_of_input.data();
-  const __m512i vm = _mm512_set1_epi32(static_cast<int>(m));
-  for (std::size_t t = 0; t < maxc; ++t) {
-    const std::uint32_t rt = rev[t];
-    const std::uint32_t len = s.row_start[t + 1] - s.row_start[t];
-    const std::uint32_t* row = row_x + s.row_start[t];
-    const std::uint32_t seg0 = std::min(len, static_cast<std::uint32_t>(v) - rt);
-    for (unsigned seg = 0; seg < 2; ++seg) {
-      const std::uint32_t j2lo = seg == 0 ? 0 : seg0;
-      const std::uint32_t j2hi = seg == 0 ? seg0 : len;
-      const std::uint32_t j3base = seg == 0 ? rt : 0;
-      for (std::uint32_t j2 = j2lo; j2 < j2hi; j2 += 16) {
-        const std::uint32_t live = std::min(16u, j2hi - j2);
-        const __mmask16 mt = static_cast<__mmask16>((1u << live) - 1);
-        const std::uint32_t j3c = j3base + (j2 - j2lo);
-        const __m512i fillv = _mm512_maskz_loadu_epi32(mt, col3 + j3c);
-        const __m512i j3v =
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(j3c)), iota);
-        const __m512i posv = _mm512_add_epi32(
-            _mm512_slli_epi32(fillv, static_cast<int>(q)), j3v);
-        _mm512_mask_storeu_epi32(pos_buf + j2, mt, posv);
-        _mm512_mask_storeu_epi32(col3 + j3c, mt, _mm512_add_epi32(fillv, one));
-      }
-    }
-    for (std::uint32_t j2 = 0; j2 < len; j2 += 16) {
-      const std::uint32_t live = std::min(16u, len - j2);
-      const __mmask16 mt = static_cast<__mmask16>((1u << live) - 1);
-      const __m512i xv = _mm512_maskz_loadu_epi32(mt, row + j2);
-      const __m512i posv = _mm512_maskz_loadu_epi32(mt, pos_buf + j2);
-      const __mmask16 ok = _mm512_mask_cmplt_epu32_mask(mt, posv, vm);
-      _mm512_mask_i32scatter_epi32(in_out, ok, posv, xv, 4);
-      _mm512_mask_i32scatter_epi32(out_in, ok, xv, posv, 4);
-    }
-  }
-  return out;
-}
-
-namespace {
 
 // AVX-512 dense-prefix kernel.  Same decomposition as the scalar variant
 // above (see its comment); the vector twists:
@@ -570,8 +424,15 @@ sw::SwitchRouting revsort_route_dense_avx512(
     }
   }
 
-  // Phase C: ragged rows via the legacy two-segment row walk, stage-3 fills
-  // seeded with the dense prefix's one-item-per-column contribution.
+  // Phase C: ragged rows via a two-segment row walk, stage-3 fills seeded
+  // with the dense prefix's one-item-per-column contribution.  The shifter
+  // maps stage-2 rank j2 to column (rev(t)+j2) mod v; splitting each row at
+  // the wrap point keeps j3 consecutive, so the stage-3 fills are contiguous
+  // loads/stores and only the routing tables scatter.  Each row runs as two
+  // passes: first compute every position into pos_buf (scratch-only
+  // traffic), then scatter from sequential reads.  Interleaving the col3
+  // loads with the table scatters instead makes the kernel hostage to 4K
+  // store-to-load aliasing against the caller-controlled output addresses.
   std::uint32_t* col3 = s.col3_count.data();
   for (std::size_t j = 0; j < v; ++j) col3[j] = dense_rows;
   std::uint32_t* pos_buf = s.pos_buf.data();
@@ -618,13 +479,6 @@ namespace {
 bool cpu_has_avx512f_impl() { return false; }
 }  // namespace
 
-sw::SwitchRouting revsort_route_kernel_avx512(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s) {
-  // Unreachable by contract (callers check cpu_has_avx512f()); fall back.
-  return revsort_route_kernel(valid, m, v, q, rev, s);
-}
-
 #endif  // PCS_REVSORT_AVX512
 
 bool cpu_has_avx512f() { return cpu_has_avx512f_impl(); }
@@ -641,7 +495,7 @@ sw::SwitchRouting revsort_route_kernel_fused(
 }
 
 // ---------------------------------------------------------------------------
-// Columnsort kernels.
+// Columnsort kernel.
 // ---------------------------------------------------------------------------
 
 // Single ascending pass over the set bits.  Stage 1 sends the t-th valid of
@@ -651,39 +505,11 @@ sw::SwitchRouting revsort_route_kernel_fused(
 // stable stage-2 rank is just the chip's fill counter.  With read-out
 // position rank*s + chip, the next position a chip emits is a running value
 // bumped by s per message.
-sw::SwitchRouting columnsort_route_kernel_legacy(const BitVec& valid,
-                                                 std::size_t m, std::size_t r,
-                                                 std::size_t s,
-                                                 ColumnsortScratch& sc) {
-  const std::size_t n = valid.size();
-  std::fill(sc.col_fill.begin(), sc.col_fill.end(), 0u);
-  for (std::size_t j = 0; j < s; ++j) sc.next_pos[j] = j;
-  sw::SwitchRouting out;
-  out.output_of_input.assign(n, -1);
-  out.input_of_output.assign(m, -1);
-  const auto& words = valid.words();
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const std::size_t x = wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-      w &= w - 1;
-      const std::size_t j2 = sc.col_fill[x / r]++ % s;
-      const std::size_t pos = sc.next_pos[j2];
-      sc.next_pos[j2] += s;
-      if (pos < m) {
-        out.input_of_output[pos] = static_cast<std::int32_t>(x);
-        out.output_of_input[x] = static_cast<std::int32_t>(pos);
-      }
-    }
-  }
-  return out;
-}
-
-// Division-free variant: the bit pass is column-major ascending, so the
-// current column is a running boundary (x crosses multiples of r in order)
-// and the per-column fill mod s is a wrap-around counter reset at each
-// column entry.  Same position sequence as the legacy kernel, bit for bit,
-// at a fraction of the per-bit cost.
+//
+// The pass is column-major ascending, so the current column is a running
+// boundary (x crosses multiples of r in order) and the per-column fill
+// mod s is a wrap-around counter reset at each column entry: no division
+// anywhere in the loop.
 sw::SwitchRouting columnsort_route_kernel(const BitVec& valid, std::size_t m,
                                           std::size_t r, std::size_t s,
                                           ColumnsortScratch& sc) {

@@ -3,15 +3,14 @@
 // A fault-free Revsort or Columnsort plan routes a pattern without ever
 // simulating its stages: the staged execution is replayed as pure rank
 // arithmetic on the set bits (DESIGN.md §7).  This header owns every
-// variant of those kernels:
+// variant of those kernels; the executor picks one per plan and CPU:
 //
-//  * revsort_route_kernel / revsort_route_kernel_avx512 — the PR 1 kernels,
-//    one global counting-sort pass then one full row walk.  Bit-exact, but
-//    at large n the CSR staging array plus both routing tables (~3.5 MB per
-//    pattern at n = 2^18) fall out of L2 and the scatters go to DRAM: the
-//    large-n throughput cliff.  Kept as the ExecMode::kLegacy engine and
-//    as the differential-testing oracle.
-//  * revsort_route_kernel_fused — the fused-mode kernel, organized around
+//  * revsort_route_kernel -- the scalar kernel, one global counting-sort
+//    pass then one full row walk.  Valid for any power-of-two matrix side
+//    v, and the production kernel for sides below 64, where a matrix column
+//    is less than one valid-word (this covers the n = 256 Revsort nodes the
+//    serving and fabric campaigns route).
+//  * revsort_route_kernel_fused -- the kernel for v >= 64, organized around
 //    the *dense row prefix*.  Let minc be the smallest per-column valid
 //    count: in every row t < minc all v columns are live, so the stage-2
 //    rank of column c is just c and the final position is closed-form,
@@ -21,20 +20,18 @@
 //    dense staging shrinks to 16-bit intra-column offsets; and
 //    input_of_output's dense rows are written by whole rotated rows.
 //    Only the ragged tail (rows >= minc, a few percent of items at
-//    moderate densities) takes the legacy scatter path, seeded with the
-//    dense prefix's per-column fill counts.  Output is bit-for-bit the
-//    legacy kernels' (pinned by differential tests and the fuzzer's
-//    fused-vs-legacy family).
-//  * columnsort_route_kernel_legacy — the PR 1 single-pass kernel; its
-//    inner loop pays one integer divide + one modulo per set bit, which is
-//    why Columnsort batch throughput was stuck near ~200 M items/s at
-//    every n.
-//  * columnsort_route_kernel — the fused-mode rewrite: the pass is already
+//    moderate densities) takes the CSR scatter path, seeded with the dense
+//    prefix's per-column fill counts.  An AVX-512 variant runs when the
+//    CPU has it.  A flat counting sort at large n (~3.5 MB of CSR staging
+//    plus both routing tables per pattern at n = 2^18) falls out of L2 and
+//    scatters to DRAM; this decomposition is what removes that cliff.
+//  * columnsort_route_kernel -- one pass over the set bits; the pass is
 //    column-major, so the column index and the per-column fill (mod s) are
-//    running counters — no division anywhere in the loop.
+//    running counters -- no division anywhere in the loop.
 //
 // All kernels are valid only on fault-free plans (apply_chip_faults clears
-// FastPathKind); the executor dispatches on plan + ExecMode + CPU.
+// FastPathKind) and are bit-for-bit the staged walk (differential tests
+// against legacy::run_plan in tests/legacy_reference.hpp, and the fuzzer).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +50,8 @@ bool cpu_has_avx512f();
 /// patterns so the batch path allocates once per chunk, not per route.
 struct RevsortScratch {
   std::vector<std::uint32_t> col_count;   // stage-1 fill / count histogram
-  std::vector<std::uint32_t> row_count;   // per-column valid counts (fused)
+  std::vector<std::uint32_t> row_count;   // row sizes (scalar) or per-column
+                                          // valid counts (dense prefix)
   std::vector<std::uint32_t> row_start;   // CSR offsets of the row buckets
   std::vector<std::uint32_t> cursor;      // CSR insertion cursors
   std::vector<std::uint32_t> col3_count;  // stage-3 fill per column
@@ -66,8 +64,8 @@ struct RevsortScratch {
                                           // column-major; +16 slack for the
                                           // vector gather's 32-bit reads)
 
-  // cursor carries 16 lanes of slack: the vector kernels load a full
-  // 16-lane block at cursor[fill] even when fewer lanes are live.
+  // cursor and pos_buf keep 16 lanes of slack past v for the vector
+  // kernel's 16-lane blocks (which are masked, so the slack is headroom).
   RevsortScratch(std::size_t v, std::size_t n)
       : col_count(v + 1),
         row_count(v),
@@ -78,8 +76,8 @@ struct RevsortScratch {
         row_x(n),
         col_x16(n + 16) {}
 
-  // The label staging arrays are only used by the legacy scalar kernel;
-  // keeping them out of the other paths trims their working set.
+  // The label staging arrays are only used by the scalar kernel; keeping
+  // them out of the dense-prefix paths trims their working set.
   void reserve_staging(std::size_t n) {
     if (t_of.size() < n) {
       t_of.resize(n);
@@ -88,41 +86,29 @@ struct RevsortScratch {
   }
 };
 
-/// Per-thread scratch for the Columnsort kernels.
+/// Per-thread scratch for the Columnsort kernel.
 struct ColumnsortScratch {
-  std::vector<std::uint32_t> col_fill;  // legacy kernel only
-  std::vector<std::size_t> next_pos;    // next readout position per chip
+  std::vector<std::size_t> next_pos;  // next readout position per chip
 
-  explicit ColumnsortScratch(std::size_t s) : col_fill(s), next_pos(s) {}
+  explicit ColumnsortScratch(std::size_t s) : next_pos(s) {}
 };
 
-/// Legacy scalar Revsort kernel (PR 1): valid for any power-of-two side v.
+/// Scalar Revsort kernel: valid for any power-of-two side v; the executor
+/// runs it for v < 64.
 sw::SwitchRouting revsort_route_kernel(const BitVec& valid, std::size_t m,
                                        std::size_t v, unsigned q,
                                        const std::vector<std::uint32_t>& rev,
                                        RevsortScratch& s);
 
-/// Legacy AVX-512 Revsort kernel (PR 1): requires v >= 64 (whole valid
-/// words per matrix column) and cpu_has_avx512f().
-sw::SwitchRouting revsort_route_kernel_avx512(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s);
-
-/// Dense-prefix Revsort kernel (fused mode): requires v >= 64.  `vectorize`
+/// Dense-prefix Revsort kernel: requires v >= 64.  `vectorize`
 /// selects the AVX-512 inner loops (caller must have checked
 /// cpu_has_avx512f()); otherwise the scalar dense-prefix loops run.
 sw::SwitchRouting revsort_route_kernel_fused(
     const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
     const std::vector<std::uint32_t>& rev, RevsortScratch& s, bool vectorize);
 
-/// Legacy Columnsort kernel (PR 1): one divide + one modulo per set bit.
-sw::SwitchRouting columnsort_route_kernel_legacy(const BitVec& valid,
-                                                 std::size_t m, std::size_t r,
-                                                 std::size_t s,
-                                                 ColumnsortScratch& sc);
-
-/// Division-free Columnsort kernel (fused mode): running column boundary
-/// and wrap-around fill counter instead of x/r and %s.
+/// Division-free Columnsort kernel: running column boundary and
+/// wrap-around fill counter instead of x/r and %s.
 sw::SwitchRouting columnsort_route_kernel(const BitVec& valid, std::size_t m,
                                           std::size_t r, std::size_t s,
                                           ColumnsortScratch& sc);

@@ -1,36 +1,10 @@
 #include "plan/plan_analysis.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "util/assert.hpp"
 
 namespace pcs::plan {
-
-namespace {
-
-std::atomic<ExecMode>& default_mode_slot() noexcept {
-  static std::atomic<ExecMode> mode = [] {
-    const char* env = std::getenv("PCS_PLAN_EXEC");
-    if (env != nullptr && std::strcmp(env, "legacy") == 0) {
-      return ExecMode::kLegacy;
-    }
-    return ExecMode::kFused;
-  }();
-  return mode;
-}
-
-}  // namespace
-
-ExecMode default_exec_mode() noexcept {
-  return default_mode_slot().load(std::memory_order_relaxed);
-}
-
-void set_default_exec_mode(ExecMode mode) noexcept {
-  default_mode_slot().store(mode, std::memory_order_relaxed);
-}
 
 const char* gather_kind_name(GatherKind kind) noexcept {
   switch (kind) {

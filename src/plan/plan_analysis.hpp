@@ -1,31 +1,31 @@
 // Plan-analysis pass: classifies every stage link of a SwitchPlan and
-// precomputes the gather tables the fused executor reads through.
+// precomputes the gather tables the executor reads through.
 //
-// The staged interpreter (plan_executor.cpp) used to run every stage in two
-// passes: materialize the gathered inbound link into a full intermediate
-// label vector, then concentrate each chip's segment in place.  At large n
-// that intermediate buffer is what blows out L2 — the gather writes n words
-// nobody needs once the chips have concentrated.  The analysis pass makes
-// the one-pass (fused) evaluation possible:
+// A naive staged interpreter runs every stage in two passes: materialize the
+// gathered inbound link into a full intermediate label vector, then
+// concentrate each chip's segment in place.  At large n that intermediate
+// buffer is what blows out L2 -- the gather writes n words nobody needs once
+// the chips have concentrated.  The analysis pass makes the one-pass (fused)
+// evaluation possible:
 //
-//  * each link's in_src is classified — identity (wire w reads wire w, the
+//  * each link's in_src is classified -- identity (wire w reads wire w, the
 //    gather is a contiguous load), fixed-stride shuffle (the CM<->RM /
 //    transpose wirings: in_src[i*cols + j] == j*rows + i, a constant-stride
 //    gather), or general (arbitrary permutation, possibly with constant
-//    idle/pad feeds — the rev-rotate links and full Columnsort's widened
+//    idle/pad feeds -- the rev-rotate links and full Columnsort's widened
 //    pad stage);
 //  * the constant feeds (kFeedIdle / kFeedPad) are remapped onto two
 //    sentinel slots past the widest stage, so the fused kernels gather
-//    unconditionally from one base pointer with no per-wire branching —
+//    unconditionally from one base pointer with no per-wire branching --
 //    state buffers carry the two constants at fixed indices;
 //  * the executor picks, per stage, a contiguous-load or gather/compress
 //    kernel (AVX-512 when the CPU has it, scalar otherwise) and evaluates
-//    every chip by reading *directly through the link* — the inbound
+//    every chip by reading *directly through the link* -- the inbound
 //    intermediate vector is never materialized.
 //
-// ExecMode selects the fused engine or the legacy two-pass interpreter
-// (kept as the differential-testing oracle and for A/B benchmarks); the
-// process default honours the PCS_PLAN_EXEC environment variable.
+// The pass accepts every plan SwitchPlan::validate() accepts, so the fused
+// executor needs no fallback engine.  The two-pass interpreter survives only
+// as the test oracle legacy::run_plan (tests/legacy_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -35,22 +35,6 @@
 #include "plan/switch_plan.hpp"
 
 namespace pcs::plan {
-
-/// Executor engine selection.  kFused is the default production engine:
-/// one-pass gather+concentrate stage evaluation, dense-prefix counting
-/// kernels, and the gather-fused lane pipeline.  kLegacy is the pre-fusion
-/// interpreter, bit-for-bit identical by contract — the fuzzer and the
-/// differential tests cross-check the two on every family.
-enum class ExecMode : unsigned char { kFused, kLegacy };
-
-/// Process-wide default mode for newly constructed executors.  Reads the
-/// PCS_PLAN_EXEC environment variable once ("legacy" or "fused"; anything
-/// else, or unset, means fused).
-ExecMode default_exec_mode() noexcept;
-
-/// Override the process default (tests / benchmarks).  Does not affect
-/// executors already constructed.
-void set_default_exec_mode(ExecMode mode) noexcept;
 
 /// How a stage's inbound gather (or the readout) reads its source.
 enum class GatherKind : unsigned char {
@@ -76,7 +60,7 @@ struct LinkInfo {
   std::vector<std::uint32_t> src;
 };
 
-/// The full analysis of one plan, consumed by PlanExecutor's fused engine.
+/// The full analysis of one plan, consumed by PlanExecutor.
 struct PlanAnalysis {
   std::vector<LinkInfo> links;         ///< one per main stage
   std::vector<LinkInfo> safety_links;  ///< one per safety stage

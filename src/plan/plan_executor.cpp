@@ -20,60 +20,13 @@ namespace pcs::plan {
 
 namespace {
 
-/// Stable concentration of one chip segment: occupied slots (anything that
-/// is not idle, pads included) sink to the low pins in order.
-void concentrate_front(std::int32_t* seg, std::size_t width) {
-  std::size_t fill = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::int32_t v = seg[i];
-    if (v != kIdleLabel) seg[fill++] = v;
-  }
-  for (; fill < width; ++fill) seg[fill] = kIdleLabel;
-}
-
-/// Legacy stage evaluation: gather the inbound link out of `prev` into a
-/// full intermediate vector, concentrate every chip in place, then silence
-/// dead chips (after their concentrate, before the outbound link --
-/// matching the legacy fault simulations exactly).  `span_name` is the
-/// stage's interned label; with tracing enabled every chip evaluation (dead
-/// chips included -- they are still wired hardware) gets one cat::kChip
-/// span under it.
-void exec_stage(const PlanStage& st, const std::vector<std::int32_t>& prev,
-                std::vector<std::int32_t>& next, const char* span_name) {
-  next.resize(st.wires());
-  const std::int32_t* in = prev.data();
-  std::int32_t* out = next.data();
-  for (std::size_t w = 0; w < st.in_src.size(); ++w) {
-    const std::int32_t src = st.in_src[w];
-    out[w] = src >= 0 ? in[src] : (src == kFeedPad ? kPadLabel : kIdleLabel);
-  }
-  if (obs::Tracer::enabled()) {
-    for (std::size_t c = 0; c < st.chips; ++c) {
-      obs::SpanGuard span(span_name, obs::cat::kChip);
-      span.arg("chip", c);
-      concentrate_front(out + c * st.width, st.width);
-    }
-    PCS_TRACE_COUNTER("plan.chips_evaluated", st.chips);
-  } else {
-    for (std::size_t c = 0; c < st.chips; ++c) {
-      concentrate_front(out + c * st.width, st.width);
-    }
-  }
-  if (!st.dead.empty()) {
-    for (std::size_t c = 0; c < st.chips; ++c) {
-      if (st.dead[c]) {
-        std::fill(out + c * st.width, out + (c + 1) * st.width, kIdleLabel);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Fused chip kernels: evaluate one chip by reading straight through the
-// analyzed inbound gather.  The intermediate gathered vector of the legacy
-// path is never materialized -- a chip's concentrate is one gather+compress
-// over its pin window.  Constant idle/pad feeds were remapped onto sentinel
-// state slots by the analysis pass, so the gathers are unconditional.
+// analyzed inbound gather.  The intermediate gathered vector of a two-pass
+// interpreter is never materialized -- a chip's concentrate is one
+// gather+compress over its pin window.  Constant idle/pad feeds were
+// remapped onto sentinel state slots by the analysis pass, so the gathers
+// are unconditional.
 // ---------------------------------------------------------------------------
 
 /// Identity link: the chip's pins are already contiguous in `prev`.
@@ -143,8 +96,11 @@ std::size_t chip_gather_concentrate_avx512(const std::int32_t* prev,
 #endif  // PCS_PLAN_CHIP_AVX512
 
 /// Fused stage evaluation: one gather+compress per chip, reading `prev`
-/// through the analyzed link.  Same trace span structure as the legacy
-/// exec_stage (one cat::kChip span per chip, chips_evaluated counter).
+/// through the analyzed link, then silence dead chips (after their
+/// concentrate, before the outbound link -- matching the pre-plan fault
+/// simulations exactly).  `span_name` is the stage's interned label; with
+/// tracing enabled every chip evaluation (dead chips included -- they are
+/// still wired hardware) gets one cat::kChip span under it.
 void exec_stage_fused(const PlanStage& st, const LinkInfo& link,
                       const std::int32_t* prev, std::int32_t* next,
                       const char* span_name, bool simd) {
@@ -214,8 +170,7 @@ const char* intern_stage_name(const SwitchPlan& plan, const PlanStage& st,
 
 }  // namespace
 
-PlanExecutor::PlanExecutor(SwitchPlan plan, ExecMode mode)
-    : plan_(std::move(plan)), mode_(mode) {
+PlanExecutor::PlanExecutor(SwitchPlan plan) : plan_(std::move(plan)) {
   plan_.validate();
   analysis_ = analyze_plan(plan_);
   fused_simd_ = cpu_has_avx512f();
@@ -245,121 +200,18 @@ PlanExecutor::PlanExecutor(SwitchPlan plan, ExecMode mode)
                                                       << " s=" << plan_.fp_s);
   }
 
-  // Lane-pipeline eligibility.  Both engines refuse plans that might
-  // iterate their safety net (fault-free plans with safety stages; faulty
-  // plans skip the net anyway).  The fused engine reads through the
-  // analysis gather tables, so that is its *only* requirement -- pad feeds,
-  // non-bijective links, and width-changing stages all batch.  The legacy
-  // engine additionally needs every stage on n wires and every link (and
-  // the readout) to be a bijection, with precomputed permute dest arrays.
+  // Lane-pipeline eligibility: the pipeline reads through the analysis
+  // gather tables, so pad feeds, non-bijective links and width-changing
+  // stages all batch.  It only refuses plans that might iterate their safety
+  // net (fault-free plans with safety stages; faulty plans skip the net).
   lanes_eligible_ = plan_.safety_stages.empty() || !plan_.faults.empty();
-  if (mode_ == ExecMode::kLegacy && lanes_eligible_) {
-    for (const PlanStage& st : plan_.stages) {
-      if (st.wires() != plan_.n) lanes_eligible_ = false;
-    }
-    if (lanes_eligible_) {
-      const std::size_t n = plan_.n;
-      std::vector<std::uint8_t> seen(n);
-      for (const PlanStage& st : plan_.stages) {
-        std::fill(seen.begin(), seen.end(), 0);
-        bool identity = true;
-        for (std::size_t w = 0; w < n && lanes_eligible_; ++w) {
-          const std::int32_t src = st.in_src[w];
-          if (src < 0 || seen[static_cast<std::size_t>(src)]) {
-            lanes_eligible_ = false;
-            break;
-          }
-          seen[static_cast<std::size_t>(src)] = 1;
-          if (static_cast<std::size_t>(src) != w) identity = false;
-        }
-        if (!lanes_eligible_) break;
-        std::vector<std::uint32_t> dest;
-        if (!identity) {
-          dest.resize(n);
-          for (std::size_t w = 0; w < n; ++w) {
-            dest[static_cast<std::size_t>(st.in_src[w])] =
-                static_cast<std::uint32_t>(w);
-          }
-        }
-        lane_link_dest_.push_back(std::move(dest));
-      }
-      if (lanes_eligible_) {
-        std::fill(seen.begin(), seen.end(), 0);
-        lane_readout_identity_ = true;
-        for (std::size_t pos = 0; pos < n; ++pos) {
-          const std::uint32_t w = plan_.readout[pos];
-          if (seen[w]) {
-            lanes_eligible_ = false;
-            break;
-          }
-          seen[w] = 1;
-          if (w != pos) lane_readout_identity_ = false;
-        }
-        if (lanes_eligible_ && !lane_readout_identity_) {
-          lane_readout_dest_.resize(n);
-          for (std::size_t pos = 0; pos < n; ++pos) {
-            lane_readout_dest_[plan_.readout[pos]] = static_cast<std::uint32_t>(pos);
-          }
-        }
-      }
-    }
-    if (!lanes_eligible_) {
-      lane_link_dest_.clear();
-      lane_readout_dest_.clear();
-    }
-  }
 }
 
-std::vector<std::int32_t> PlanExecutor::run_stages_legacy(
+std::vector<std::int32_t> PlanExecutor::run_stages(
     const BitVec& valid, StageScratch& scratch) const {
-  std::vector<std::int32_t>& state = scratch.state;
-  std::vector<std::int32_t>& next = scratch.next;
-  state.resize(plan_.n);
-  for (std::size_t x = 0; x < plan_.n; ++x) {
-    state[x] = valid.get(x) ? static_cast<std::int32_t>(x) : kIdleLabel;
-  }
-  for (std::size_t k = 0; k < plan_.stages.size(); ++k) {
-    obs::SpanGuard span(stage_span_names_[k], obs::cat::kStage);
-    exec_stage(plan_.stages[k], state, next, stage_span_names_[k]);
-    state.swap(next);
-  }
-  auto read_out = [&] {
-    std::vector<std::int32_t> seq(plan_.n);
-    for (std::size_t pos = 0; pos < plan_.n; ++pos) {
-      const std::int32_t v = state[plan_.readout[pos]];
-      PCS_REQUIRE(v != kPadLabel,
-                  plan_.name << ": pad escaped the shift window at pos=" << pos);
-      seq[pos] = v;
-    }
-    return seq;
-  };
-  std::vector<std::int32_t> seq = read_out();
-  if (!plan_.safety_stages.empty() && plan_.faults.empty()) {
-    // Safety net: the prescribed structure always fully sorts in practice;
-    // if it ever did not, finish with additional sorting phases.
-    std::size_t extra = 0;
-    while (!sequence_concentrated(seq)) {
-      for (std::size_t k = 0; k < plan_.safety_stages.size(); ++k) {
-        obs::SpanGuard span(safety_span_names_[k], obs::cat::kStage);
-        exec_stage(plan_.safety_stages[k], state, next, safety_span_names_[k]);
-        state.swap(next);
-      }
-      ++extra;
-      PCS_TRACE_COUNTER("plan.safety_iterations", 1);
-      PCS_REQUIRE(extra <= plan_.safety_limit,
-                  plan_.name << " failed to converge");
-      seq = read_out();
-    }
-    extra_phases_.store(extra);
-  } else if (plan_.fully_sorting && plan_.faults.empty()) {
-    PCS_REQUIRE(sequence_concentrated(seq),
-                plan_.name << " output not concentrated");
-  }
-  return seq;
-}
-
-std::vector<std::int32_t> PlanExecutor::run_stages_fused(
-    const BitVec& valid, StageScratch& scratch) const {
+  PCS_REQUIRE(valid.size() == plan_.n, plan_.name << " width: pattern has "
+                                                  << valid.size()
+                                                  << " bits, switch has n=" << plan_.n);
   std::vector<std::int32_t>& state = scratch.state;
   std::vector<std::int32_t>& next = scratch.next;
   if (state.size() != analysis_.buf_slots) {
@@ -395,6 +247,8 @@ std::vector<std::int32_t> PlanExecutor::run_stages_fused(
   };
   std::vector<std::int32_t> seq = read_out();
   if (!plan_.safety_stages.empty() && plan_.faults.empty()) {
+    // Safety net: the prescribed structure always fully sorts in practice;
+    // if it ever did not, finish with additional sorting phases.
     std::size_t extra = 0;
     while (!sequence_concentrated(seq)) {
       for (std::size_t k = 0; k < plan_.safety_stages.size(); ++k) {
@@ -416,15 +270,6 @@ std::vector<std::int32_t> PlanExecutor::run_stages_fused(
                 plan_.name << " output not concentrated");
   }
   return seq;
-}
-
-std::vector<std::int32_t> PlanExecutor::run_stages(
-    const BitVec& valid, StageScratch& scratch) const {
-  PCS_REQUIRE(valid.size() == plan_.n, plan_.name << " width: pattern has "
-                                                  << valid.size()
-                                                  << " bits, switch has n=" << plan_.n);
-  return mode_ == ExecMode::kFused ? run_stages_fused(valid, scratch)
-                                   : run_stages_legacy(valid, scratch);
 }
 
 sw::SwitchRouting PlanExecutor::route_with_scratch(const BitVec& valid,
@@ -469,10 +314,9 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
   std::vector<sw::SwitchRouting> out(valids.size());
   switch (plan_.fast_path) {
     case FastPathKind::kRevsortCount: {
-      // Fused mode runs the dense-prefix kernel whenever the matrix columns
-      // are whole valid-words (it scans columns wordwise); legacy mode keeps
-      // the PR 1 kernels as the A/B baseline and differential oracle.
-      const bool fused = mode_ == ExecMode::kFused && plan_.fp_side >= 64;
+      // The dense-prefix kernel scans columns wordwise, so it needs whole
+      // valid-words per matrix column; smaller sides take the scalar kernel.
+      const bool dense = plan_.fp_side >= 64;
       parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
         obs::SpanGuard span("plan.fastpath.revsort", obs::cat::kBatch);
         span.arg("patterns", hi - lo);
@@ -482,15 +326,11 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
                       plan_.name << " route_batch width: pattern " << i << " of "
                                  << valids.size() << " has " << valids[i].size()
                                  << " bits, switch has n=" << plan_.n);
-          if (fused) {
+          if (dense) {
             out[i] = revsort_route_kernel_fused(valids[i], plan_.m,
                                                 plan_.fp_side, fp_q_,
                                                 plan_.fp_rev, scratch,
                                                 fp_vectorize_);
-          } else if (fp_vectorize_) {
-            out[i] = revsort_route_kernel_avx512(valids[i], plan_.m,
-                                                 plan_.fp_side, fp_q_,
-                                                 plan_.fp_rev, scratch);
           } else {
             out[i] = revsort_route_kernel(valids[i], plan_.m, plan_.fp_side,
                                           fp_q_, plan_.fp_rev, scratch);
@@ -519,10 +359,7 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
                       plan_.name << " route_batch width: pattern " << i << " of "
                                  << valids.size() << " has " << valids[i].size()
                                  << " bits, switch has n=" << n);
-          out[i] = mode_ == ExecMode::kFused
-                       ? columnsort_route_kernel(valids[i], m, r, s, scratch)
-                       : columnsort_route_kernel_legacy(valids[i], m, r, s,
-                                                        scratch);
+          out[i] = columnsort_route_kernel(valids[i], m, r, s, scratch);
         }
         if (obs::Tracer::enabled()) {
           std::uint64_t routed = 0;
@@ -566,11 +403,11 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
     });
     return out;
   }
-  if (lanes_eligible_ && mode_ == ExecMode::kFused) {
-    // Fused lane pipeline: word-parallel occupancy through the analysis
-    // gather tables.  Constant feeds read the sentinel slots (idle = zero
-    // word, pad = all-ones word), re-pinned after every gather because the
-    // gather recycles the position store.
+  if (lanes_eligible_) {
+    // Lane pipeline: word-parallel occupancy through the analysis gather
+    // tables.  Constant feeds read the sentinel slots (idle = zero word,
+    // pad = all-ones word), re-pinned after every gather because the gather
+    // recycles the position store.
     const std::size_t blocks = ceil_div(valids.size(), sortnet::LaneBatch::kLanes);
     parallel_for(0, blocks, [&](std::size_t b) {
       const std::size_t first = b * sortnet::LaneBatch::kLanes;
@@ -603,32 +440,6 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
       if (analysis_.readout.kind != GatherKind::kIdentity) {
         lanes.gather(analysis_.readout.src);
       }
-      lanes.store(out, first);
-    });
-    return out;
-  }
-  if (lanes_eligible_ && mode_ == ExecMode::kLegacy) {
-    const std::size_t blocks = ceil_div(valids.size(), sortnet::LaneBatch::kLanes);
-    parallel_for(0, blocks, [&](std::size_t b) {
-      const std::size_t first = b * sortnet::LaneBatch::kLanes;
-      const std::size_t count =
-          std::min(sortnet::LaneBatch::kLanes, valids.size() - first);
-      obs::SpanGuard span("plan.lane_block", obs::cat::kBatch);
-      span.arg("lanes", count);
-      PCS_TRACE_COUNTER("plan.lane_blocks", 1);
-      sortnet::LaneBatch lanes(plan_.n);
-      lanes.load(valids, first, count);
-      for (std::size_t k = 0; k < plan_.stages.size(); ++k) {
-        const PlanStage& st = plan_.stages[k];
-        if (!lane_link_dest_[k].empty()) lanes.permute(lane_link_dest_[k]);
-        lanes.concentrate_segments(st.width);
-        if (!st.dead.empty()) {
-          for (std::size_t c = 0; c < st.chips; ++c) {
-            if (st.dead[c]) lanes.clear_positions(c * st.width, (c + 1) * st.width);
-          }
-        }
-      }
-      if (!lane_readout_identity_) lanes.permute(lane_readout_dest_);
       lanes.store(out, first);
     });
     return out;

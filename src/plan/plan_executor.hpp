@@ -1,41 +1,35 @@
 // The one executor behind every multichip switch: interprets a SwitchPlan.
 //
-// Two engines share every entry point, selected by ExecMode (plan_analysis):
+// Construction validates the plan and runs the analysis pass
+// (plan_analysis.hpp), which classifies each stage's inbound gather.  Chip
+// evaluation then reads *directly through the composed gather*: one
+// gather+compress kernel per chip (AVX-512 when the CPU has it, scalar
+// otherwise) instead of materializing the gathered link into an
+// intermediate label vector and concentrating in place.
 //
-//   kFused (default) -- the analysis pass classifies each stage's inbound
-//   gather, and chip evaluation reads *directly through the composed
-//   gather*: one gather+compress kernel per chip (AVX-512 when the CPU has
-//   it, scalar otherwise) instead of materializing the gathered link into an
-//   intermediate label vector and concentrating in place.  The batch paths
-//   reuse one scratch per worker chunk, the Revsort counting kernel uses the
-//   dense-prefix decomposition so its traffic is sequential at large n, the
-//   Columnsort kernel is division-free, and the nearsorted lane pipeline
-//   reads through the analysis tables (sentinel idle/pad slots), which
-//   makes every plan in the library lane-eligible -- pad feeds and
-//   width-changing stages included.
-//
-//   kLegacy -- the pre-fusion two-pass interpreter and the PR 1 counting
-//   kernels, kept as the differential-testing oracle and the A/B benchmark
-//   baseline.  Bit-for-bit identical outputs by contract.
-//
-// Scalar route() walks the stages on a flat label vector (gather the
-// inbound link, stable-concentrate each chip's segment, silence dead
-// chips), then reads the output positions through the plan's readout
-// gather.  nearsorted_valid_bits() is the same walk projected to
+// Scalar route() walks the stages on a flat label vector (each chip
+// stable-concentrates its pins straight out of the previous stage, dead
+// chips fall silent), then reads the output positions through the plan's
+// readout gather.  nearsorted_valid_bits() is the same walk projected to
 // occupancy.  The batch entry points dispatch on the plan:
 //
-//   route_batch       -> the family counting kernels (Revsort's three-stage
-//                        rank-arithmetic kernel, Columnsort's single-pass
-//                        kernel) when the plan carries a FastPathKind, else
-//                        chunked scalar walks with per-chunk scratch;
+//   route_batch       -> the family counting kernels (counting_kernels.hpp)
+//                        when the plan carries a FastPathKind: Revsort's
+//                        dense-prefix kernel at matrix sides >= 64, its
+//                        scalar rank-arithmetic kernel below, Columnsort's
+//                        division-free single pass; else chunked scalar
+//                        walks with one scratch per worker chunk;
 //   nearsorted_batch  -> prefix_ones for fault-free fully-sorting plans,
-//                        the word-parallel LaneBatch pipeline otherwise
-//                        (fused mode; legacy mode still requires every link
-//                        to be a bijection on n wires), else scalar walks.
+//                        else the word-parallel LaneBatch pipeline reading
+//                        through the analysis tables (sentinel idle/pad
+//                        slots, so pad feeds, non-bijective links and
+//                        width-changing stages all batch), else scalar walks
+//                        for plans that might iterate their safety net.
 //
-// All paths are bit-for-bit identical to the scalar walk (differential
-// tests + fuzz cross-check), which is itself bit-for-bit identical to the
-// pre-plan per-family switch simulations.
+// All paths are bit-for-bit identical to the pre-plan per-family LabelMesh
+// recipes and to the two-pass interpreter legacy::run_plan, both kept as
+// oracles in tests/legacy_reference.hpp; differential tests and the fuzzer
+// enforce the identity.
 #pragma once
 
 #include <atomic>
@@ -58,37 +52,28 @@ class PlanExecutor {
  public:
   /// Takes ownership of the plan (it is fixed hardware; executors never
   /// mutate it).  Validates the plan's structure and runs the analysis pass
-  /// up front.  `mode` defaults to the process-wide engine selection
-  /// (PCS_PLAN_EXEC / set_default_exec_mode).
-  explicit PlanExecutor(SwitchPlan plan, ExecMode mode = default_exec_mode());
+  /// up front.
+  explicit PlanExecutor(SwitchPlan plan);
 
   // Movable so the switch classes embedding an executor stay movable (the
   // atomic phase counter forces these to be spelled out).
   PlanExecutor(PlanExecutor&& other) noexcept
       : plan_(std::move(other.plan_)),
-        mode_(other.mode_),
         analysis_(std::move(other.analysis_)),
         fused_simd_(other.fused_simd_),
         fp_q_(other.fp_q_),
         fp_vectorize_(other.fp_vectorize_),
         lanes_eligible_(other.lanes_eligible_),
-        lane_link_dest_(std::move(other.lane_link_dest_)),
-        lane_readout_dest_(std::move(other.lane_readout_dest_)),
-        lane_readout_identity_(other.lane_readout_identity_),
         stage_span_names_(std::move(other.stage_span_names_)),
         safety_span_names_(std::move(other.safety_span_names_)),
         extra_phases_(other.extra_phases_.load()) {}
   PlanExecutor& operator=(PlanExecutor&& other) noexcept {
     plan_ = std::move(other.plan_);
-    mode_ = other.mode_;
     analysis_ = std::move(other.analysis_);
     fused_simd_ = other.fused_simd_;
     fp_q_ = other.fp_q_;
     fp_vectorize_ = other.fp_vectorize_;
     lanes_eligible_ = other.lanes_eligible_;
-    lane_link_dest_ = std::move(other.lane_link_dest_);
-    lane_readout_dest_ = std::move(other.lane_readout_dest_);
-    lane_readout_identity_ = other.lane_readout_identity_;
     stage_span_names_ = std::move(other.stage_span_names_);
     safety_span_names_ = std::move(other.safety_span_names_);
     extra_phases_.store(other.extra_phases_.load());
@@ -98,7 +83,6 @@ class PlanExecutor {
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
   const SwitchPlan& plan() const noexcept { return plan_; }
-  ExecMode exec_mode() const noexcept { return mode_; }
   const PlanAnalysis& analysis() const noexcept { return analysis_; }
   std::size_t inputs() const noexcept { return plan_.n; }
   std::size_t outputs() const noexcept { return plan_.m; }
@@ -114,44 +98,30 @@ class PlanExecutor {
   std::size_t extra_phases_used() const noexcept { return extra_phases_.load(); }
 
  private:
-  /// Reusable per-walk label buffers.  The fused engine sizes them to the
-  /// analysis' buf_slots (sentinel idle/pad slots pinned past the widest
-  /// stage); the legacy engine grows them per stage.  The batch paths carry
-  /// one per worker chunk so scalar walks stop allocating per pattern.
+  /// Reusable per-walk label buffers, sized to the analysis' buf_slots
+  /// (sentinel idle/pad slots pinned past the widest stage).  The batch
+  /// paths carry one per worker chunk so scalar walks stop allocating per
+  /// pattern.
   struct StageScratch {
     std::vector<std::int32_t> state;
     std::vector<std::int32_t> next;
   };
 
   /// Runs the staged pipeline (including the safety net on fault-free
-  /// plans) and returns the n labels at the readout positions.  Dispatches
-  /// on mode_.
+  /// plans) and returns the n labels at the readout positions.
   std::vector<std::int32_t> run_stages(const BitVec& valid,
                                        StageScratch& scratch) const;
-  std::vector<std::int32_t> run_stages_legacy(const BitVec& valid,
-                                              StageScratch& scratch) const;
-  std::vector<std::int32_t> run_stages_fused(const BitVec& valid,
-                                             StageScratch& scratch) const;
   sw::SwitchRouting route_with_scratch(const BitVec& valid,
                                        StageScratch& scratch) const;
 
   SwitchPlan plan_;
-  ExecMode mode_ = ExecMode::kFused;
   PlanAnalysis analysis_;
   bool fused_simd_ = false;  // AVX-512 gather/compress chip kernels usable
   unsigned fp_q_ = 0;        // exact_log2(fp_side) for the Revsort kernel
   bool fp_vectorize_ = false;
-  // Legacy LaneBatch pipeline, precomputed (legacy mode only) when every
-  // stage spans n wires and every link (and the readout) is a bijection:
-  // per-stage permute dest arrays (empty = identity, skipped), the readout
-  // dest, and the dead-chip segments to clear after each stage's
-  // concentrate.  In fused mode the lane pipeline reads through the
-  // analysis gather tables instead and lanes_eligible_ only excludes plans
-  // that might iterate their safety net.
+  // The lane pipeline reads through the analysis gather tables, so it only
+  // excludes plans that might iterate their safety net.
   bool lanes_eligible_ = false;
-  std::vector<std::vector<std::uint32_t>> lane_link_dest_;
-  std::vector<std::uint32_t> lane_readout_dest_;
-  bool lane_readout_identity_ = false;
   // Interned span names (stage labels, or "<plan>#s<idx>" fallbacks) so the
   // tracing sites hand out stable const char* without per-route allocation.
   std::vector<const char*> stage_span_names_;

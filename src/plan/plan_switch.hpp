@@ -13,11 +13,7 @@ namespace pcs::plan {
 
 class PlanSwitch : public sw::ConcentratorSwitch {
  public:
-  /// `mode` picks the executor engine (default: the process-wide selection,
-  /// see plan_analysis.hpp); tests pass ExecMode::kLegacy to run the
-  /// differential oracle behind the same interface.
-  explicit PlanSwitch(SwitchPlan plan, ExecMode mode = default_exec_mode())
-      : exec_(std::move(plan), mode) {}
+  explicit PlanSwitch(SwitchPlan plan) : exec_(std::move(plan)) {}
 
   std::size_t inputs() const override { return exec_.inputs(); }
   std::size_t outputs() const override { return exec_.outputs(); }

@@ -20,20 +20,6 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-std::size_t parse_size(const std::string& key, const std::string& v) {
-  std::size_t pos = 0;
-  unsigned long long out = 0;
-  try {
-    out = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  PCS_REQUIRE(pos == v.size() && !v.empty(), "config key " << key
-                                                           << " expects an integer, got '"
-                                                           << v << "'");
-  return static_cast<std::size_t>(out);
-}
-
 double parse_double(const std::string& key, const std::string& v) {
   std::size_t pos = 0;
   double out = 0.0;
@@ -97,24 +83,13 @@ void set_key(RuntimeConfig& cfg, const std::string& key, const std::string& valu
   } else if (key == "drain_epochs_max") {
     cfg.drain_epochs_max = parse_size(key, value);
   } else if (key == "faults") {
-    cfg.faults.clear();
-    for (const std::string& item : split_csv(value)) {
-      const auto colon = item.find(':');
-      PCS_REQUIRE(colon != std::string::npos,
-                  "config key faults expects stage:chip entries, got '" << item
-                  << "'");
-      cfg.faults.push_back(
-          plan::ChipFault{parse_size(key, item.substr(0, colon)),
-                          parse_size(key, item.substr(colon + 1))});
-    }
+    cfg.faults = parse_faults(value);
   } else if (key == "check_invariants") {
     cfg.check_invariants = parse_bool(key, value);
   } else if (key == "out") {
     cfg.out = value;
   } else if (key == "threads") {
     cfg.threads = parse_size(key, value);
-  } else if (key == "exec") {
-    cfg.exec = value;
   } else if (key == "trace") {
     cfg.trace = value;
   } else if (key == "trace_clock") {
@@ -184,8 +159,6 @@ void validate(const RuntimeConfig& cfg) {
   PCS_REQUIRE(cfg.trace_clock == "tsc" || cfg.trace_clock == "logical",
               "trace_clock must be 'tsc' or 'logical', got '" << cfg.trace_clock
                                                               << "'");
-  PCS_REQUIRE(cfg.exec == "fused" || cfg.exec == "legacy",
-              "exec must be 'fused' or 'legacy', got '" << cfg.exec << "'");
   PCS_REQUIRE(cfg.topology.empty() || cfg.topology == "single" ||
                   cfg.topology == "omega" || cfg.topology == "butterfly" ||
                   cfg.topology == "fattree",
@@ -219,6 +192,38 @@ void validate(const RuntimeConfig& cfg) {
 }
 
 }  // namespace
+
+std::size_t parse_size(const std::string& key, const std::string& v) {
+  // std::stoull alone would skip leading blanks and accept a sign, wrapping
+  // "-1" to 2^64 - 1: only a plain run of decimal digits is a size.
+  std::size_t pos = 0;
+  unsigned long long out = 0;
+  if (!v.empty() && v[0] >= '0' && v[0] <= '9') {
+    try {
+      out = std::stoull(v, &pos);
+    } catch (const std::exception&) {
+      pos = 0;  // out of range
+    }
+  }
+  PCS_REQUIRE(pos == v.size() && !v.empty(),
+              "config key " << key << " expects a non-negative integer, got '"
+                            << v << "'");
+  return static_cast<std::size_t>(out);
+}
+
+std::vector<plan::ChipFault> parse_faults(const std::string& value) {
+  std::vector<plan::ChipFault> out;
+  for (const std::string& item : split_csv(value)) {
+    const auto colon = item.find(':');
+    PCS_REQUIRE(colon != std::string::npos,
+                "config key faults expects stage:chip entries, got '" << item
+                                                                      << "'");
+    out.push_back(
+        plan::ChipFault{parse_size("faults", trim(item.substr(0, colon))),
+                        parse_size("faults", trim(item.substr(colon + 1)))});
+  }
+  return out;
+}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -295,7 +300,6 @@ std::string config_to_json(const RuntimeConfig& cfg, std::size_t indent) {
   os << pad << "  \"drain_epochs_max\": " << cfg.drain_epochs_max << ",\n";
   os << pad << "  \"epochs_in_flight\": " << cfg.fabric_epochs_in_flight
      << ",\n";
-  os << pad << "  \"exec\": " << json_escape(cfg.exec) << ",\n";
   os << pad << "  \"family\": " << json_escape(cfg.family) << ",\n";
   os << pad << "  \"fault_hop\": " << cfg.fault_hop << ",\n";
   os << pad << "  \"faults\": [";

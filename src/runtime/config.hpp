@@ -73,11 +73,6 @@ struct RuntimeConfig {
   /// Clamp on worker threads for every parallel dispatch (see
   /// pcs::set_max_parallelism).  0 = no clamp; 1 = deterministic order.
   std::size_t threads = 0;
-  /// Plan-executor engine: "fused" (analysis-driven gather fusion, the
-  /// default) or "legacy" (per-stage materialization; the differential
-  /// oracle).  Applied process-wide via plan::set_default_exec_mode before
-  /// any switch is built, so serving campaigns can A/B the two engines.
-  std::string exec = "fused";
   /// When non-empty, trace every campaign and write one Chrome trace-event
   /// JSON (Perfetto-loadable) to this path; the per-campaign profile rollup
   /// appears in the metrics document either way.
@@ -145,6 +140,17 @@ std::string config_to_json(const RuntimeConfig& cfg, std::size_t indent = 0);
 
 /// Split a comma-separated list, trimming blanks; "a,b" -> {"a", "b"}.
 std::vector<std::string> split_csv(const std::string& s);
+
+/// Parse a size-valued config entry: a non-empty run of decimal digits that
+/// fits in std::size_t.  Signs, blanks and trailing bytes throw
+/// ContractViolation naming `key` and the value.
+std::size_t parse_size(const std::string& key, const std::string& value);
+
+/// Parse a `stage:chip,stage:chip,...` fault list (the faults= key, and the
+/// faults field of a daemon campaign request).  Each coordinate goes
+/// through parse_size; a missing colon or a bad coordinate throws
+/// ContractViolation naming the offending text.
+std::vector<plan::ChipFault> parse_faults(const std::string& value);
 
 /// Congestion policy from its policy_name() slug; throws on unknown names.
 msg::CongestionPolicy policy_from_string(const std::string& s);

@@ -2,10 +2,8 @@
 // gauges, and log2-bucketed histograms collected in a registry and exported
 // as deterministic JSON.
 //
-// The three traffic-facing simulators (runtime/fabric_runtime, the
-// message-layer congestion/stream engines, network/router_sim) used to each
-// carry an ad-hoc stats struct with incompatible fields; this is the one
-// schema they all report through (see stats_bridge.hpp for the adapters).
+// The campaign engines (runtime/fabric_runtime, fabric/fabric_sim) and the
+// serving daemon all report through this one schema.
 // Export is byte-deterministic for identical measurements: names are emitted
 // in sorted order (std::map) and doubles are printed with std::to_chars
 // shortest round-trip form, so a fixed-seed campaign can be diffed in CI.

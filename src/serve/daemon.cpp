@@ -32,30 +32,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-std::vector<plan::ChipFault> parse_faults(const std::string& s) {
-  std::vector<plan::ChipFault> out;
-  for (const std::string& item : rt::split_csv(s)) {
-    const auto colon = item.find(':');
-    PCS_REQUIRE(colon != std::string::npos,
-                "faults expects stage:chip entries, got '" << item << "'");
-    const auto parse = [&](const std::string& v) {
-      std::size_t pos = 0;
-      unsigned long long n = 0;
-      try {
-        n = std::stoull(v, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
-      }
-      PCS_REQUIRE(pos == v.size() && !v.empty(),
-                  "faults expects integers, got '" << v << "'");
-      return static_cast<std::size_t>(n);
-    };
-    out.push_back(plan::ChipFault{parse(item.substr(0, colon)),
-                                  parse(item.substr(colon + 1))});
-  }
-  return out;
-}
-
 }  // namespace
 
 AdmissionLimits admission_limits_from(const rt::RuntimeConfig& cfg) {
@@ -95,7 +71,7 @@ rt::RuntimeConfig ServeDaemon::resolve(const CampaignRequest& req) const {
   if (req.n != 0) cfg.n = req.n;
   if (req.m != 0) cfg.m = req.m;
   if (req.beta >= 0.0) cfg.beta = req.beta;
-  if (!req.faults.empty()) cfg.faults = parse_faults(req.faults);
+  if (!req.faults.empty()) cfg.faults = rt::parse_faults(req.faults);
   if (!req.arrival.empty()) cfg.arrival = req.arrival;
   if (!req.pattern.empty()) cfg.pattern = req.pattern;
   if (!req.injection.empty()) cfg.injection = req.injection;
@@ -171,9 +147,7 @@ CampaignReply ServeDaemon::run_fabric_campaign(const rt::RuntimeConfig& cfg) {
   rep.residual = local.counter("total.residual").value();
   rep.delivery_rate = local.gauge("delivery_rate").value();
   rep.mean_latency_epochs = local.gauge("mean_latency_epochs").value();
-  const plan::ExecMode mode =
-      cfg.exec == "legacy" ? plan::ExecMode::kLegacy : plan::ExecMode::kFused;
-  rep.spec_digest = sim->graph().spec().digest(mode);
+  rep.spec_digest = sim->graph().spec().digest();
   return rep;
 }
 
@@ -201,10 +175,8 @@ CampaignReply ServeDaemon::handle_campaign(const CampaignRequest& req) {
     spec.m = cfg.m;
     spec.beta = cfg.beta;
     spec.faults = cfg.faults;
-    const plan::ExecMode mode =
-        cfg.exec == "legacy" ? plan::ExecMode::kLegacy : plan::ExecMode::kFused;
 
-    const PlanCache::Checkout co = cache_.checkout(spec, mode);
+    const PlanCache::Checkout co = cache_.checkout(spec);
     global_.counter(co.hit ? "serve.cache.hits" : "serve.cache.misses").add(1);
 
     rt::RuntimeOptions opts;

@@ -27,9 +27,8 @@ std::size_t approx_switch_bytes(const plan::PlanSwitch& sw) {
 
 PlanCache::PlanCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
 
-PlanCache::Checkout PlanCache::checkout(const SwitchSpec& spec,
-                                        plan::ExecMode mode) {
-  const std::uint64_t key = spec.digest(mode);
+PlanCache::Checkout PlanCache::checkout(const SwitchSpec& spec) {
+  const std::uint64_t key = spec.digest();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -43,8 +42,7 @@ PlanCache::Checkout PlanCache::checkout(const SwitchSpec& spec,
 
   // Compile outside the lock: a cold build must not block other tenants'
   // hits.  make_switch_plan throws on bad specs before anything is shared.
-  auto built = std::make_shared<const plan::PlanSwitch>(make_switch_plan(spec),
-                                                        mode);
+  auto built = std::make_shared<const plan::PlanSwitch>(make_switch_plan(spec));
   const std::size_t bytes = approx_switch_bytes(*built);
 
   std::lock_guard<std::mutex> lock(mu_);

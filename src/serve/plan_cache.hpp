@@ -26,7 +26,6 @@
 #include <memory>
 #include <mutex>
 
-#include "plan/plan_analysis.hpp"
 #include "plan/plan_switch.hpp"
 #include "switch/make_switch.hpp"
 
@@ -53,7 +52,7 @@ class PlanCache {
   struct Checkout {
     std::shared_ptr<const plan::PlanSwitch> sw;
     bool hit = false;
-    std::uint64_t key = 0;      ///< SwitchSpec::digest(exec)
+    std::uint64_t key = 0;      ///< SwitchSpec::digest()
     std::size_t bytes = 0;      ///< this entry's footprint estimate
   };
 
@@ -61,10 +60,10 @@ class PlanCache {
   /// "cache nothing" (every checkout compiles, for A/B runs).
   explicit PlanCache(std::size_t byte_budget);
 
-  /// Return the shared switch for `spec` under engine `mode`, compiling on
-  /// miss.  Throws ContractViolation for specs that cannot compile (unknown
-  /// family, bad shape) -- nothing is inserted on throw.
-  Checkout checkout(const SwitchSpec& spec, plan::ExecMode mode);
+  /// Return the shared switch for `spec`, compiling on miss.  Throws
+  /// ContractViolation for specs that cannot compile (unknown family, bad
+  /// shape) -- nothing is inserted on throw.
+  Checkout checkout(const SwitchSpec& spec);
 
   Stats stats() const;
 

@@ -152,12 +152,6 @@ void LaneBatch::clear_positions(std::size_t lo, std::size_t hi) {
             pos_.begin() + static_cast<std::ptrdiff_t>(hi), 0);
 }
 
-void LaneBatch::permute(const std::vector<std::uint32_t>& dest) {
-  PCS_REQUIRE(dest.size() == width_, "LaneBatch::permute size mismatch");
-  for (std::size_t i = 0; i < width_; ++i) scratch_[dest[i]] = pos_[i];
-  pos_.swap(scratch_);
-}
-
 void LaneBatch::gather(const std::vector<std::uint32_t>& src) {
   PCS_REQUIRE(src.size() > 0 && src.size() <= pos_.size(),
               "LaneBatch::gather width: src=" << src.size()

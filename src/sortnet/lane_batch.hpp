@@ -14,16 +14,14 @@
 //     carry-save add of every word into ceil(lg(L+1)) bit planes (one
 //     counter per lane, all 64 counted at once), then a thermometer
 //     write-back that decrements the planes until they drain.
-//   * permute(dest): an inter-stage wiring permutation (wiring.hpp) applied
-//     as whole-word moves -- 64 patterns rewired per store.
-//   * gather(src): the general inbound-link read the fused plan executor
-//     uses -- position i of the next arrangement reads position src[i] of
-//     the current one.  Unlike permute it needs no bijection (sources may
-//     repeat or be skipped) and may change the active width, so
-//     width-changing stages (full Columnsort's widened pad stage) batch
-//     too.  Constant idle/pad feeds are modelled as sentinel positions past
-//     every stage's wires, pinned with set_constant to all-zeros (idle) or
-//     all-ones (pad) words.
+//   * gather(src): the inbound-link read the plan executor uses, applied as
+//     whole-word moves (64 patterns rewired per store) -- position i of the
+//     next arrangement reads position src[i] of the current one.  It needs
+//     no bijection (sources may repeat or be skipped) and may change the
+//     active width, so width-changing stages (full Columnsort's widened pad
+//     stage) batch too.  Constant idle/pad feeds are modelled as sentinel
+//     positions past every stage's wires, pinned with set_constant to
+//     all-zeros (idle) or all-ones (pad) words.
 //
 // Labels do not survive bit-slicing, so LaneBatch computes nearsorted valid
 // bits, not routings; the label-level batch path lives in the switches'
@@ -75,10 +73,6 @@ class LaneBatch {
   /// positions -- the bit projection of a chip's stable concentration.
   void concentrate_segments(std::size_t seg_len);
 
-  /// Apply a wiring permutation to all lanes: position i's word moves to
-  /// position dest[i].  dest must be a bijection on [0, width()).
-  void permute(const std::vector<std::uint32_t>& dest);
-
   /// Read the next arrangement through a gather: position i becomes the
   /// current position src[i] (any slot below capacity, sentinels included).
   /// Not required to be a bijection.  The active width becomes src.size()
@@ -100,7 +94,7 @@ class LaneBatch {
   std::size_t width_;
   std::size_t lanes_ = 0;
   std::vector<std::uint64_t> pos_;      // padded to a whole 64-word block
-  std::vector<std::uint64_t> scratch_;  // permute double-buffer
+  std::vector<std::uint64_t> scratch_;  // gather double-buffer
   std::vector<std::uint64_t> planes_;   // bit-sliced counters
 };
 

@@ -19,7 +19,7 @@ std::size_t outputs_or_all(const SwitchSpec& spec, std::size_t n) {
 
 }  // namespace
 
-std::uint64_t SwitchSpec::digest(plan::ExecMode exec) const {
+std::uint64_t SwitchSpec::digest() const {
   Digest d;
   // Length-prefixed family bytes so ("ab", n=1) can never collide with
   // ("a", ...) by concatenation ambiguity.
@@ -37,7 +37,7 @@ std::uint64_t SwitchSpec::digest(plan::ExecMode exec) const {
     d.mix_u64(f.stage);
     d.mix_u64(f.chip);
   }
-  d.mix_byte(static_cast<std::uint8_t>(exec));
+  d.mix_byte(0);  // the former engine byte; keeps pinned digests stable
   return d.value();
 }
 

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "plan/plan_analysis.hpp"
 #include "plan/switch_plan.hpp"
 #include "switch/concentrator.hpp"
 
@@ -44,13 +43,13 @@ struct SwitchSpec {
   std::vector<plan::ChipFault> faults;  ///< dead chips (plan families only)
 
   /// Stable FNV-1a fingerprint over EVERY spec field (family bytes, shape,
-  /// beta bits, passes, schedule, the fault list in order) plus the executor
-  /// engine `exec`, which changes routing machinery but not routing results
-  /// -- cache entries built for one engine must not be served to the other.
-  /// This is the serving daemon's plan-cache key (serve/plan_cache.hpp); the
-  /// value is pinned by a golden test (test_switch_digest.cpp) so it cannot
-  /// silently drift across refactors and strand every cached plan.
-  std::uint64_t digest(plan::ExecMode exec = plan::ExecMode::kFused) const;
+  /// beta bits, passes, schedule, the fault list in order), closed by a
+  /// constant 0 byte that once named the executor engine and now keeps the
+  /// pinned values unchanged.  This is the serving daemon's plan-cache key
+  /// (serve/plan_cache.hpp); the value is pinned by a golden test
+  /// (test_switch_digest.cpp) so it cannot silently drift across refactors
+  /// and strand every cached plan.
+  std::uint64_t digest() const;
 };
 
 /// Compile the spec's staged plan, faults applied.  Throws ContractViolation

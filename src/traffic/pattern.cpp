@@ -106,6 +106,9 @@ std::size_t permute_dest(PatternKind kind, std::size_t src, std::size_t n) {
       return out;
     }
     case PatternKind::kShuffle:
+      // One wire (bits == 0) has nothing to rotate, and a shift by
+      // bits - 1 would be undefined.
+      if (bits == 0) return 0;
       return ((src << 1) | (src >> (bits - 1))) & (n - 1);
     case PatternKind::kTornado:
       return (src + (n + 1) / 2 - 1) % n;

@@ -1,23 +1,29 @@
 // Legacy reference semantics for every multichip switch family, written
 // directly against the LabelMesh mesh operations -- the exact per-family
 // route() recipes the dedicated switch classes implemented before they
-// became thin compilers onto the staged-plan IR (src/plan/).
+// became thin compilers onto the staged-plan IR (src/plan/) -- plus
+// run_plan(), the two-pass staged interpreter the fused PlanExecutor
+// replaced.
 //
 // The plan refactor's hard constraint is bit-for-bit identity with these
-// recipes, so they live here as an independent oracle: the golden-digest
-// and differential test suites (tests/test_plan_*.cpp) and the fuzzer's
+// recipes, and every executor optimisation since must stay bit-for-bit the
+// plain interpreter, so both live here as independent oracles: the
+// golden-digest and differential test suites (tests/test_plan_*.cpp, the
+// random-plan test in tests/test_fuzz_differential.cpp) and the fuzzer's
 // plan-vs-legacy family (fuzz/fuzz_differential.cpp) all compare
 // PlanExecutor output against this header.  Keep it boring and obviously
 // correct; it must never route through the plan code it checks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "plan/switch_plan.hpp"  // plan::ChipFault (just {stage, chip})
+#include "label_mesh.hpp"
+#include "plan/switch_plan.hpp"  // plain plan data: stages, readout, faults
 #include "sortnet/revsort.hpp"
 #include "switch/concentrator.hpp"
-#include "switch/label_mesh.hpp"
+#include "util/assert.hpp"
 #include "util/bitvec.hpp"
 #include "util/mathutil.hpp"
 
@@ -48,6 +54,65 @@ inline Reference from_sequence(const std::vector<std::int32_t>& seq,
     }
   }
   return ref;
+}
+
+/// The staged interpreter, read straight off the plan's data (never
+/// PlanExecutor, never the analysis pass).  Each stage gathers its inbound
+/// link into a full intermediate label vector (constant idle/pad feeds
+/// included), stable-concentrates every chip's segment in place (pads count
+/// as occupied), then silences its dead chips; the readout gather picks the
+/// n output positions.  A fault-free plan with safety stages loops them
+/// until the readout is concentrated, at most safety_limit times.
+inline Reference run_plan(const plan::SwitchPlan& p, const BitVec& valid) {
+  PCS_REQUIRE(valid.size() == p.n,
+              "run_plan: pattern has " << valid.size() << " bits, n=" << p.n);
+  std::vector<std::int32_t> state(p.n);
+  for (std::size_t x = 0; x < p.n; ++x) {
+    state[x] = valid.get(x) ? static_cast<std::int32_t>(x) : plan::kIdleLabel;
+  }
+  const auto run_stage = [&state](const plan::PlanStage& st) {
+    std::vector<std::int32_t> next(st.wires());
+    for (std::size_t w = 0; w < next.size(); ++w) {
+      const std::int32_t src = st.in_src[w];
+      next[w] = src >= 0 ? state[static_cast<std::size_t>(src)]
+                         : (src == plan::kFeedPad ? plan::kPadLabel
+                                                  : plan::kIdleLabel);
+    }
+    const auto occupied = [](std::int32_t v) { return v != plan::kIdleLabel; };
+    const auto width = static_cast<std::ptrdiff_t>(st.width);
+    for (std::size_t c = 0; c < st.chips; ++c) {
+      const auto chip = next.begin() + static_cast<std::ptrdiff_t>(c) * width;
+      const auto end = chip + width;
+      std::stable_partition(chip, end, occupied);
+      if (!st.dead.empty() && st.dead[c]) {
+        std::fill(chip, end, plan::kIdleLabel);
+      }
+    }
+    state.swap(next);
+  };
+  const auto read_out = [&] {
+    std::vector<std::int32_t> seq(p.n);
+    for (std::size_t pos = 0; pos < p.n; ++pos) {
+      seq[pos] = state[p.readout[pos]];
+      PCS_REQUIRE(seq[pos] != plan::kPadLabel,
+                  p.name << ": pad escaped the shift window at pos=" << pos);
+    }
+    return seq;
+  };
+  for (const plan::PlanStage& st : p.stages) run_stage(st);
+  std::vector<std::int32_t> seq = read_out();
+  const auto concentrated = [&seq] {
+    return std::is_partitioned(seq.begin(), seq.end(),
+                               [](std::int32_t v) { return v >= 0; });
+  };
+  if (!p.safety_stages.empty() && p.faults.empty()) {
+    for (std::size_t extra = 0; !concentrated(); ++extra) {
+      PCS_REQUIRE(extra < p.safety_limit, p.name << " failed to converge");
+      for (const plan::PlanStage& st : p.safety_stages) run_stage(st);
+      seq = read_out();
+    }
+  }
+  return from_sequence(seq, p.n, p.m);
 }
 
 /// Silence the dead chips of one stage.  Chips are columns on every

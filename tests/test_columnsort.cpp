@@ -50,6 +50,11 @@ struct Shape {
   std::size_t r, s;
 };
 
+// The test name suffix ctest shows, e.g. "r32_s4", instead of a byte dump.
+void PrintTo(const Shape& shape, std::ostream* os) {
+  *os << "r" << shape.r << "_s" << shape.s;
+}
+
 class ColumnsortNearsort : public ::testing::TestWithParam<Shape> {};
 
 // Theorem 4's prerequisite: Algorithm 2 output, read row-major, is

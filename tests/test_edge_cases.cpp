@@ -2,12 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "hyper/hyper_circuit.hpp"
+#include "label_mesh.hpp"
 #include "message/congestion.hpp"
 #include "message/traffic.hpp"
 #include "network/multistage.hpp"
 #include "switch/full_sort_hyper.hpp"
 #include "switch/hyper_switch.hpp"
-#include "switch/label_mesh.hpp"
 #include "switch/revsort_switch.hpp"
 #include "switch/wiring.hpp"
 #include "util/assert.hpp"

@@ -4,8 +4,6 @@
 
 #include "message/congestion.hpp"
 #include "message/traffic.hpp"
-#include "network/router_sim.hpp"
-#include "runtime/stats_bridge.hpp"
 #include "switch/columnsort_switch.hpp"
 #include "switch/hyper_switch.hpp"
 #include "switch/revsort_switch.hpp"
@@ -280,37 +278,6 @@ TEST(FabricRuntime, ResidualBacklogIsAFirstClassCounter) {
   ASSERT_TRUE(r2.drained);
   EXPECT_EQ(m2.counters().count("total.residual"), 1u);
   EXPECT_EQ(m2.counter("total.residual").value(), 0u);
-}
-
-// The three legacy simulators export through the same schema names the
-// runtime uses, so one consumer reads any producer.
-TEST(StatsBridge, RoundStatsMapToSharedSchema) {
-  sw::HyperSwitch sw(32, 4);
-  Rng rng(42);
-  msg::RoundStats stats = msg::simulate_rounds(sw, 0.8, 100,
-                                               CongestionPolicy::kBufferRetry, rng);
-  MetricsRegistry metrics;
-  record_stats(metrics, stats);
-
-  EXPECT_EQ(metrics.counter("offered").value(), stats.offered);
-  EXPECT_EQ(metrics.counter("delivered").value(), stats.delivered);
-  EXPECT_EQ(metrics.counter("epochs.measure").value(), stats.rounds);
-  EXPECT_DOUBLE_EQ(metrics.gauge("delivery_rate").value(), stats.delivery_rate());
-  // The bulk-imported histogram agrees with the scalar aggregates.
-  const Histogram& lat = metrics.histogram("latency_epochs");
-  EXPECT_EQ(lat.count(), stats.delivered);
-  EXPECT_DOUBLE_EQ(static_cast<double>(lat.sum()), stats.total_latency_rounds);
-}
-
-TEST(StatsBridge, TreeSimStatsMapToSharedSchema) {
-  net::ConcentratorTree tree = net::make_hyper_tree(2, 32, 8, 8);
-  Rng rng(43);
-  net::TreeSimStats stats = net::simulate_tree(tree, 0.3, 80, rng);
-  MetricsRegistry metrics;
-  record_stats(metrics, stats);
-  EXPECT_EQ(metrics.counter("offered").value(), stats.offered);
-  EXPECT_EQ(metrics.counter("rejected.level1").value(), stats.level1_rejections);
-  EXPECT_EQ(metrics.histogram("latency_epochs").count(), stats.delivered);
 }
 
 }  // namespace

@@ -77,18 +77,29 @@ void check_hop_accounting(const MetricsRegistry& m, const FabricGraph& g) {
   }
 }
 
-class AllTopologies
-    : public ::testing::TestWithParam<std::tuple<Topology, std::size_t,
-                                                 std::size_t, const char*>> {};
+struct TopologyCase {
+  Topology topology;
+  std::size_t hops;
+  std::size_t radix;
+  std::string alloc;
+};
+
+// The test name suffix ctest shows, e.g. "omega_h3_r2_islip": stable across
+// builds, unlike gtest's default byte dump of the struct.
+void PrintTo(const TopologyCase& c, std::ostream* os) {
+  *os << topology_name(c.topology) << "_h" << c.hops << "_r" << c.radix << "_"
+      << c.alloc;
+}
+
+class AllTopologies : public ::testing::TestWithParam<TopologyCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Fabric, AllTopologies,
-    ::testing::Values(
-        std::make_tuple(Topology::kSingle, std::size_t{1}, std::size_t{4}, "rr"),
-        std::make_tuple(Topology::kOmega, std::size_t{3}, std::size_t{2}, "rr"),
-        std::make_tuple(Topology::kOmega, std::size_t{3}, std::size_t{2}, "islip"),
-        std::make_tuple(Topology::kButterfly, std::size_t{3}, std::size_t{2}, "rr"),
-        std::make_tuple(Topology::kFatTree, std::size_t{3}, std::size_t{2}, "islip")));
+    ::testing::Values(TopologyCase{Topology::kSingle, 1, 4, "rr"},
+                      TopologyCase{Topology::kOmega, 3, 2, "rr"},
+                      TopologyCase{Topology::kOmega, 3, 2, "islip"},
+                      TopologyCase{Topology::kButterfly, 3, 2, "rr"},
+                      TopologyCase{Topology::kFatTree, 3, 2, "islip"}));
 
 TEST_P(AllTopologies, ConservesEveryMessageEndToEnd) {
   const auto& [topo, hops, radix, alloc] = GetParam();

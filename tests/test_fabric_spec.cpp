@@ -28,10 +28,7 @@ TEST(FabricSpecDigest, GoldenValuesArePinned) {
   // Computed once from the FNV-1a layout (node digest, topology byte, hops,
   // radix, credits, length-prefixed alloc + route, deflect_max, fault_hop);
   // pinned forever.
-  EXPECT_EQ(base_spec().digest(plan::ExecMode::kFused),
-            0x7dfec259cfa8fb77ull);
-  EXPECT_EQ(base_spec().digest(plan::ExecMode::kLegacy),
-            0x05b210df10e8f382ull);
+  EXPECT_EQ(base_spec().digest(), 0x7dfec259cfa8fb77ull);
 
   FabricSpec ft = base_spec();
   ft.topology = fabric::Topology::kFatTree;
@@ -93,11 +90,6 @@ TEST(FabricSpecDigest, EveryFieldFeedsTheDigest) {
   s = base_spec();
   s.fault_hop = 2;
   EXPECT_NE(s.digest(), base);
-
-  // Exec mode flows through the node digest: fused and legacy plans must
-  // never share a key.
-  EXPECT_NE(base_spec().digest(plan::ExecMode::kFused),
-            base_spec().digest(plan::ExecMode::kLegacy));
 }
 
 /// validate() must throw ContractViolation whose message names the field,

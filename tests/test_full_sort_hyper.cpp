@@ -64,6 +64,11 @@ struct Shape {
   std::size_t r, s;
 };
 
+// The test name suffix ctest shows, e.g. "r32_s4", instead of a byte dump.
+void PrintTo(const Shape& shape, std::ostream* os) {
+  *os << "r" << shape.r << "_s" << shape.s;
+}
+
 class FullColumnsort : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(FullColumnsort, FullySortsAllDensities) {

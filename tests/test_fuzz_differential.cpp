@@ -7,6 +7,7 @@
 
 #include "gates/circuit.hpp"
 #include "gates/evaluator.hpp"
+#include "legacy_reference.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
 #include "sortnet/lane_batch.hpp"
@@ -221,7 +222,7 @@ TEST(FuzzDifferential, MultipassSwitchBatchMatchesSequential) {
   expect_batch_matches_sequential(alt, rng);
 }
 
-// --- fused plan executor vs legacy oracle on random plans ----------------
+// --- plan executor vs the staged-interpreter oracle on random plans ------
 
 // Every case is replayable from the printed (trial, seed) pair: the trial
 // seed derives deterministically from the base seed, so one failing trial
@@ -276,22 +277,20 @@ TEST(FuzzDifferential, FusedExecutorMatchesLegacyOracleOnRandomPlans) {
       }
       plan::apply_chip_faults(p, faults);
     }
-    plan::PlanSwitch fused{plan::SwitchPlan(p), plan::ExecMode::kFused};
-    plan::PlanSwitch legacy{std::move(p), plan::ExecMode::kLegacy};
+    plan::PlanSwitch fused{plan::SwitchPlan(p)};
     const std::size_t width = 1 + rng.below(70);
     std::vector<BitVec> batch = make_patterns(fused.inputs(), width, rng);
     const auto fr = fused.route_batch(batch);
-    const auto lr = legacy.route_batch(batch);
     const auto fn = fused.nearsorted_batch(batch);
-    const auto ln = legacy.nearsorted_batch(batch);
     for (std::size_t i = 0; i < width; ++i) {
-      ASSERT_EQ(fr[i].output_of_input, lr[i].output_of_input)
+      const legacy::Reference ref = legacy::run_plan(p, batch[i]);
+      ASSERT_EQ(fr[i].output_of_input, ref.routing.output_of_input)
           << fused.name() << " trial " << trial << " seed " << seed
           << " pattern " << i;
-      ASSERT_EQ(fr[i].input_of_output, lr[i].input_of_output)
+      ASSERT_EQ(fr[i].input_of_output, ref.routing.input_of_output)
           << fused.name() << " trial " << trial << " seed " << seed
           << " pattern " << i;
-      ASSERT_EQ(fn[i].count_diff(ln[i]), 0u)
+      ASSERT_EQ(fn[i].count_diff(ref.nearsorted), 0u)
           << fused.name() << " trial " << trial << " seed " << seed
           << " pattern " << i;
     }
@@ -336,11 +335,17 @@ TEST(FuzzDifferential, LaneBatchPermuteMatchesScalar) {
     for (std::size_t i = n; i > 1; --i) {
       std::swap(dest[i - 1], dest[rng.below(i)]);
     }
+    // A wiring permutation is a bijective gather: position dest[i] reads
+    // position i.
+    std::vector<std::uint32_t> src(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      src[dest[i]] = static_cast<std::uint32_t>(i);
+    }
     const std::size_t count = 1 + rng.below(sortnet::LaneBatch::kLanes);
     std::vector<BitVec> patterns = make_patterns(n, count, rng);
     sortnet::LaneBatch lanes(n);
     lanes.load(patterns, 0, count);
-    lanes.permute(dest);
+    lanes.gather(src);
     for (std::size_t l = 0; l < count; ++l) {
       BitVec expect(n);
       for (std::size_t i = 0; i < n; ++i) {

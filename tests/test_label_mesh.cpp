@@ -1,4 +1,4 @@
-#include "switch/label_mesh.hpp"
+#include "label_mesh.hpp"
 
 #include <gtest/gtest.h>
 

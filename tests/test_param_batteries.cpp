@@ -23,6 +23,19 @@ struct ContractCase {
   double m_fraction;
 };
 
+// The test name suffix ctest shows, e.g. "revsort_m0.75": stable across
+// builds, unlike gtest's default dump of the struct (padding bytes
+// included).
+void PrintTo(const ContractCase& c, std::ostream* os) {
+  switch (c.design) {
+    case Design::kHyper: *os << "hyper"; break;
+    case Design::kRevsort: *os << "revsort"; break;
+    case Design::kColumnsort: *os << "columnsort"; break;
+    case Design::kPrefixButterfly: *os << "prefix_butterfly"; break;
+  }
+  *os << "_m" << c.m_fraction;
+}
+
 std::unique_ptr<ConcentratorSwitch> build(Design d, std::size_t n, std::size_t m) {
   switch (d) {
     case Design::kHyper:

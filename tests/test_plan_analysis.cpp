@@ -157,17 +157,5 @@ TEST(PlanAnalysis, SummaryNamesEveryLink) {
   EXPECT_NE(s.find("readout:"), std::string::npos) << s;
 }
 
-TEST(PlanAnalysis, ExecModeDefaultAndOverride) {
-  const ExecMode before = default_exec_mode();
-  set_default_exec_mode(ExecMode::kLegacy);
-  EXPECT_EQ(default_exec_mode(), ExecMode::kLegacy);
-  PlanExecutor legacy(compile_revsort_plan(16, 8));
-  EXPECT_EQ(legacy.exec_mode(), ExecMode::kLegacy);
-  set_default_exec_mode(before);
-  PlanExecutor explicit_mode(compile_revsort_plan(16, 8), ExecMode::kFused);
-  EXPECT_EQ(explicit_mode.exec_mode(), ExecMode::kFused);
-  EXPECT_EQ(explicit_mode.analysis().buf_slots, 18u);
-}
-
 }  // namespace
 }  // namespace pcs::plan

@@ -26,13 +26,13 @@ TEST(PlanCache, MissThenHit) {
   PlanCache cache(kBigBudget);
   const SwitchSpec spec = revsort_spec(64, 48);
 
-  const PlanCache::Checkout cold = cache.checkout(spec, plan::ExecMode::kFused);
+  const PlanCache::Checkout cold = cache.checkout(spec);
   ASSERT_TRUE(cold.sw);
   EXPECT_FALSE(cold.hit);
   EXPECT_GT(cold.bytes, 0u);
-  EXPECT_EQ(cold.key, spec.digest(plan::ExecMode::kFused));
+  EXPECT_EQ(cold.key, spec.digest());
 
-  const PlanCache::Checkout warm = cache.checkout(spec, plan::ExecMode::kFused);
+  const PlanCache::Checkout warm = cache.checkout(spec);
   EXPECT_TRUE(warm.hit);
   EXPECT_EQ(warm.sw.get(), cold.sw.get());  // literally the same switch
 
@@ -43,22 +43,11 @@ TEST(PlanCache, MissThenHit) {
   EXPECT_EQ(s.bytes, cold.bytes);
 }
 
-TEST(PlanCache, ExecModeSplitsTheKey) {
-  PlanCache cache(kBigBudget);
-  const SwitchSpec spec = revsort_spec(64, 48);
-  const PlanCache::Checkout fused = cache.checkout(spec, plan::ExecMode::kFused);
-  const PlanCache::Checkout legacy =
-      cache.checkout(spec, plan::ExecMode::kLegacy);
-  EXPECT_NE(fused.key, legacy.key);
-  EXPECT_FALSE(legacy.hit);  // not served the fused entry
-  EXPECT_EQ(cache.stats().entries, 2u);
-}
-
 TEST(PlanCache, ZeroBudgetCompilesEveryTime) {
   PlanCache cache(0);
   const SwitchSpec spec = revsort_spec(64, 48);
-  const PlanCache::Checkout a = cache.checkout(spec, plan::ExecMode::kFused);
-  const PlanCache::Checkout b = cache.checkout(spec, plan::ExecMode::kFused);
+  const PlanCache::Checkout a = cache.checkout(spec);
+  const PlanCache::Checkout b = cache.checkout(spec);
   ASSERT_TRUE(a.sw);
   ASSERT_TRUE(b.sw);
   EXPECT_FALSE(a.hit);
@@ -71,7 +60,7 @@ TEST(PlanCache, ZeroBudgetCompilesEveryTime) {
 TEST(PlanCache, BadSpecThrowsAndInsertsNothing) {
   PlanCache cache(kBigBudget);
   SwitchSpec bad = revsort_spec(100, 50);  // not a perfect square
-  EXPECT_THROW(cache.checkout(bad, plan::ExecMode::kFused), ContractViolation);
+  EXPECT_THROW(cache.checkout(bad), ContractViolation);
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
@@ -79,18 +68,18 @@ TEST(PlanCache, LruEvictionUnderByteBudget) {
   // Learn one entry's footprint, then size the budget for roughly two.
   const std::size_t one = [] {
     PlanCache probe(kBigBudget);
-    return probe.checkout(revsort_spec(64, 48), plan::ExecMode::kFused).bytes;
+    return probe.checkout(revsort_spec(64, 48)).bytes;
   }();
   ASSERT_GT(one, 0u);
 
   PlanCache cache(2 * one + one / 2);
   // Three same-shape entries distinguished by m -> three keys, same bytes.
   {
-    (void)cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused);
-    (void)cache.checkout(revsort_spec(64, 32), plan::ExecMode::kFused);
+    (void)cache.checkout(revsort_spec(64, 16));
+    (void)cache.checkout(revsort_spec(64, 32));
     // Touch m=16 so m=32 is now the LRU entry.
-    (void)cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused);
-    (void)cache.checkout(revsort_spec(64, 48), plan::ExecMode::kFused);
+    (void)cache.checkout(revsort_spec(64, 16));
+    (void)cache.checkout(revsort_spec(64, 48));
   }  // all checkouts dropped -> everything evictable
 
   const PlanCache::Stats s = cache.stats();
@@ -98,27 +87,25 @@ TEST(PlanCache, LruEvictionUnderByteBudget) {
   EXPECT_LE(s.bytes, 2 * one + one / 2);
   // The survivors are the recently-used entries: m=16 and m=48 hit, m=32
   // (the evicted LRU) misses again.
-  EXPECT_TRUE(cache.checkout(revsort_spec(64, 48), plan::ExecMode::kFused).hit);
-  EXPECT_TRUE(cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused).hit);
-  EXPECT_FALSE(
-      cache.checkout(revsort_spec(64, 32), plan::ExecMode::kFused).hit);
+  EXPECT_TRUE(cache.checkout(revsort_spec(64, 48)).hit);
+  EXPECT_TRUE(cache.checkout(revsort_spec(64, 16)).hit);
+  EXPECT_FALSE(cache.checkout(revsort_spec(64, 32)).hit);
 }
 
 TEST(PlanCache, InUseEntriesAreNotEvicted) {
   const std::size_t one = [] {
     PlanCache probe(kBigBudget);
-    return probe.checkout(revsort_spec(64, 48), plan::ExecMode::kFused).bytes;
+    return probe.checkout(revsort_spec(64, 48)).bytes;
   }();
 
   PlanCache cache(one + one / 2);  // budget for ~1.5 entries
   // Hold the first checkout while inserting more: the held entry must
   // survive even though it becomes the LRU.
-  const PlanCache::Checkout held =
-      cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused);
-  (void)cache.checkout(revsort_spec(64, 32), plan::ExecMode::kFused);
-  (void)cache.checkout(revsort_spec(64, 48), plan::ExecMode::kFused);
+  const PlanCache::Checkout held = cache.checkout(revsort_spec(64, 16));
+  (void)cache.checkout(revsort_spec(64, 32));
+  (void)cache.checkout(revsort_spec(64, 48));
 
-  EXPECT_TRUE(cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused).hit)
+  EXPECT_TRUE(cache.checkout(revsort_spec(64, 16)).hit)
       << "held entry evicted while checked out";
   // The budget transiently overshoots rather than dropping in-use plans.
   EXPECT_GE(cache.stats().bytes, one);
@@ -126,8 +113,8 @@ TEST(PlanCache, InUseEntriesAreNotEvicted) {
 
 TEST(PlanCache, ShrinkingBudgetEvictsImmediately) {
   PlanCache cache(kBigBudget);
-  (void)cache.checkout(revsort_spec(64, 16), plan::ExecMode::kFused);
-  (void)cache.checkout(revsort_spec(64, 32), plan::ExecMode::kFused);
+  (void)cache.checkout(revsort_spec(64, 16));
+  (void)cache.checkout(revsort_spec(64, 32));
   ASSERT_EQ(cache.stats().entries, 2u);
 
   cache.set_byte_budget(1);  // keeps at least one entry (never evicts to zero
@@ -149,8 +136,7 @@ TEST(PlanCache, ConcurrentCheckoutSharesOneEntry) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, &spec, &held, t] {
       for (int i = 0; i < 50; ++i) {
-        const PlanCache::Checkout co =
-            cache.checkout(spec, plan::ExecMode::kFused);
+        const PlanCache::Checkout co = cache.checkout(spec);
         ASSERT_TRUE(co.sw);
         held[t] = co.sw;  // keep the last checkout alive across the join
       }
@@ -161,8 +147,7 @@ TEST(PlanCache, ConcurrentCheckoutSharesOneEntry) {
   const PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   // Every thread's final checkout resolves to the single cached instance.
-  const PlanCache::Checkout final_co =
-      cache.checkout(spec, plan::ExecMode::kFused);
+  const PlanCache::Checkout final_co = cache.checkout(spec);
   for (const auto& sw : held) EXPECT_EQ(sw.get(), final_co.sw.get());
   // All 400 checkouts were answered; cold compiles that lost the insert
   // race are counted as rebuild_races, and hits + misses covers them all.

@@ -1,8 +1,9 @@
 // Bit-for-bit identity of the PlanExecutor against the pre-plan per-family
-// LabelMesh recipes (tests/legacy_reference.hpp), across a structured
-// pattern zoo, degenerate output counts, faulty plans, and the batch entry
-// points.  This is the refactor's contract: compiling a family to the
-// shared IR must not move a single message.
+// LabelMesh recipes and the staged interpreter legacy::run_plan
+// (tests/legacy_reference.hpp), across a structured pattern zoo, degenerate
+// output counts, faulty plans, and the batch entry points.  This is the
+// refactor's contract: compiling a family to the shared IR, and every
+// executor optimisation since, must not move a single message.
 #include "plan/plan_switch.hpp"
 
 #include <gtest/gtest.h>
@@ -181,17 +182,15 @@ TEST(PlanDifferential, BatchPathsAreBitIdenticalToScalar) {
   }
 }
 
-// --- fused engine vs legacy engine ---------------------------------------
+// --- fused executor vs the staged interpreter ---------------------------
 //
-// The fused executor (gather-through-link chip kernels, dense-prefix
-// counting kernels, sentinel-slot lane pipeline) must be bit-for-bit the legacy
-// two-pass interpreter on every entry point.  The legacy engine is itself
-// pinned against the LabelMesh references above, so this closes the chain.
+// The executor (gather-through-link chip kernels, dense-prefix counting
+// kernels, sentinel-slot lane pipeline) must be bit-for-bit the two-pass
+// interpreter legacy::run_plan on every entry point.
 
 void expect_engines_agree(const SwitchPlan& plan,
                           const std::vector<std::size_t>& widths, Rng& rng) {
-  PlanSwitch fused{SwitchPlan(plan), ExecMode::kFused};
-  PlanSwitch legacy{SwitchPlan(plan), ExecMode::kLegacy};
+  PlanSwitch fused{SwitchPlan(plan)};
   for (const std::size_t width : widths) {
     std::vector<BitVec> batch;
     batch.reserve(width);
@@ -200,20 +199,19 @@ void expect_engines_agree(const SwitchPlan& plan,
           rng.bernoulli_bits(plan.n, static_cast<double>(t % 5) * 0.25));
     }
     const auto fr = fused.route_batch(batch);
-    const auto lr = legacy.route_batch(batch);
     const auto fn = fused.nearsorted_batch(batch);
-    const auto ln = legacy.nearsorted_batch(batch);
     for (std::size_t i = 0; i < width; ++i) {
-      ASSERT_EQ(fr[i].output_of_input, lr[i].output_of_input)
+      const legacy::Reference ref = legacy::run_plan(plan, batch[i]);
+      ASSERT_EQ(fr[i].output_of_input, ref.routing.output_of_input)
           << plan.name << " width " << width << " pattern " << i;
-      ASSERT_EQ(fr[i].input_of_output, lr[i].input_of_output)
+      ASSERT_EQ(fr[i].input_of_output, ref.routing.input_of_output)
           << plan.name << " width " << width << " pattern " << i;
-      ASSERT_EQ(fn[i].count_diff(ln[i]), 0u)
+      ASSERT_EQ(fn[i].count_diff(ref.nearsorted), 0u)
           << plan.name << " width " << width << " pattern " << i;
     }
     // Scalar entry points too (the batch paths may take kernels).
     ASSERT_EQ(fused.route(batch[0]).output_of_input,
-              legacy.route(batch[0]).output_of_input)
+              legacy::run_plan(plan, batch[0]).routing.output_of_input)
         << plan.name;
   }
 }
@@ -257,8 +255,8 @@ TEST(PlanDifferential, FusedEngineMatchesLegacyOnFaultedPlans) {
     expect_engines_agree(p, {1, 65}, rng);
   }
   {
-    // Faulted full Columnsort: the widened pad stage runs through the fused
-    // lane pipeline (sentinel pad slot), legacy falls back to scalar walks.
+    // Faulted full Columnsort: the widened pad stage runs through the lane
+    // pipeline (sentinel pad slot).
     SwitchPlan p = compile_full_columnsort_plan(64, 4);
     apply_chip_faults(p, {{1, 0}, {3, 2}});
     expect_engines_agree(p, {1, 65}, rng);
@@ -281,8 +279,8 @@ TEST(PlanDifferential, DenseRevsortKernelMatchesLegacyAtLargeN) {
       {4096, 4096 - 1024}, {65536, 65536 - 16384},
       {65536, 1},          {65536, 300},          {65536, 256}};
   for (const auto& [n, m] : pairs) {
-    PlanSwitch fused{compile_revsort_plan(n, m), ExecMode::kFused};
-    PlanSwitch legacy{compile_revsort_plan(n, m), ExecMode::kLegacy};
+    const SwitchPlan plan = compile_revsort_plan(n, m);
+    PlanSwitch fused{SwitchPlan(plan)};
     std::vector<BitVec> batch;
     batch.emplace_back(n);                      // empty
     BitVec full(n);
@@ -292,11 +290,11 @@ TEST(PlanDifferential, DenseRevsortKernelMatchesLegacyAtLargeN) {
     batch.push_back(rng.bernoulli_bits(n, 0.5));
     batch.push_back(rng.bernoulli_bits(n, 0.97));  // nearly-full columns
     const auto fr = fused.route_batch(batch);
-    const auto lr = legacy.route_batch(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(fr[i].output_of_input, lr[i].output_of_input)
+      const legacy::Reference ref = legacy::run_plan(plan, batch[i]);
+      ASSERT_EQ(fr[i].output_of_input, ref.routing.output_of_input)
           << "n=" << n << " m=" << m << " pattern " << i;
-      ASSERT_EQ(fr[i].input_of_output, lr[i].input_of_output)
+      ASSERT_EQ(fr[i].input_of_output, ref.routing.input_of_output)
           << "n=" << n << " m=" << m << " pattern " << i;
     }
   }

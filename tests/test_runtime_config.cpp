@@ -57,13 +57,12 @@ out = custom.json
 }
 
 TEST(RuntimeConfig, ExecEngineKey) {
-  EXPECT_EQ(parse_config_text("").exec, "fused");
-  EXPECT_EQ(parse_config_text("exec = legacy").exec, "legacy");
-  EXPECT_EQ(parse_config_text("exec = fused").exec, "fused");
-  EXPECT_THROW(parse_config_text("exec = turbo"), ContractViolation);
+  // The plan executor has one engine, so there is no engine key to set:
+  // exec= is an unknown key in files and overrides alike.
+  EXPECT_THROW(parse_config_text("exec = fused"), ContractViolation);
+  EXPECT_THROW(parse_config_text("exec = legacy"), ContractViolation);
   RuntimeConfig cfg = parse_config_text("");
-  apply_override(cfg, "exec=legacy");
-  EXPECT_EQ(cfg.exec, "legacy");
+  EXPECT_THROW(apply_override(cfg, "exec=fused"), ContractViolation);
 }
 
 TEST(RuntimeConfig, RejectsMalformedInput) {
@@ -72,6 +71,45 @@ TEST(RuntimeConfig, RejectsMalformedInput) {
   EXPECT_THROW(parse_config_text("n = twelve"), ContractViolation);
   EXPECT_THROW(parse_config_text("arrival_p = lots"), ContractViolation);
   EXPECT_THROW(parse_config_text("check_invariants = maybe"), ContractViolation);
+}
+
+/// The config text must be rejected with a ContractViolation quoting `value`.
+void expect_rejected_naming(const std::string& text, const std::string& value) {
+  try {
+    (void)parse_config_text(text);
+    FAIL() << "accepted '" << text << "'";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(RuntimeConfig, IntegersRejectASign) {
+  // std::stoull alone wraps "-1" to 2^64 - 1, which would pass every
+  // ">= 1" range check below it.
+  expect_rejected_naming("lanes = -1", "-1");
+  expect_rejected_naming("measure_epochs = -1", "-1");
+  // ... and would read this one as 1.
+  expect_rejected_naming("seed = -18446744073709551615",
+                         "-18446744073709551615");
+  expect_rejected_naming("queue_depth = +4", "+4");
+  expect_rejected_naming("threads = 18446744073709551616",
+                         "18446744073709551616");  // overflow
+  EXPECT_EQ(parse_size("threads", "0"), 0u);
+  EXPECT_EQ(parse_size("seed", "18446744073709551615"),
+            std::size_t{18446744073709551615ull});
+}
+
+TEST(RuntimeConfig, FaultsRejectASign) {
+  expect_rejected_naming("faults = -1:0", "-1");
+  expect_rejected_naming("faults = 0:-3", "-3");
+  EXPECT_THROW((void)parse_faults("1-2"), ContractViolation);  // no colon
+  const std::vector<plan::ChipFault> f = parse_faults("0:3, 1 : 2");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].stage, 0u);
+  EXPECT_EQ(f[0].chip, 3u);
+  EXPECT_EQ(f[1].stage, 1u);
+  EXPECT_EQ(f[1].chip, 2u);
 }
 
 TEST(RuntimeConfig, ValidatesRanges) {
@@ -252,7 +290,7 @@ TEST(RuntimeConfig, JsonEchoIsDeterministic) {
   EXPECT_EQ(a, config_to_json(cfg, 2));
   EXPECT_NE(a.find("\"loads\": [0.1, 0.9]"), std::string::npos);
   EXPECT_NE(a.find("\"seed\": 5"), std::string::npos);
-  EXPECT_NE(a.find("\"exec\": \"fused\""), std::string::npos);
+  EXPECT_EQ(a.find("\"exec\""), std::string::npos);  // no engine key
   EXPECT_EQ(a.substr(0, 3), "  {");
 }
 

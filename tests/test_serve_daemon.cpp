@@ -50,7 +50,7 @@ TEST(ServeDaemon, DefaultRequestRunsTheBaseConfigCampaign) {
   spec.family = "revsort";
   spec.n = 64;
   spec.m = 48;
-  EXPECT_EQ(rep.spec_digest, spec.digest(plan::ExecMode::kFused));
+  EXPECT_EQ(rep.spec_digest, spec.digest());
 }
 
 TEST(ServeDaemon, SecondIdenticalRequestHitsTheCache) {
@@ -88,7 +88,7 @@ TEST(ServeDaemon, RequestOverridesReplaceServerDefaults) {
   spec.n = 128;
   spec.m = 96;
   spec.beta = 0.75;
-  EXPECT_EQ(rep.spec_digest, spec.digest(plan::ExecMode::kFused));
+  EXPECT_EQ(rep.spec_digest, spec.digest());
 }
 
 TEST(ServeDaemon, BadShapeIsAnErrorReplyNotACrash) {
@@ -100,6 +100,17 @@ TEST(ServeDaemon, BadShapeIsAnErrorReplyNotACrash) {
   EXPECT_FALSE(rep.reason.empty());
   // The daemon keeps serving afterwards.
   EXPECT_EQ(daemon.handle_campaign(default_request("t0")).status, Status::kOk);
+}
+
+TEST(ServeDaemon, SignedFaultCoordinatesAreRejectedByResolve) {
+  // Tenant bytes go through the same faults parser as the config file, so a
+  // signed coordinate is named in the reply instead of wrapping to 2^64 - 1.
+  ServeDaemon daemon(small_base(), ServeOptions{});
+  CampaignRequest req = default_request("t0");
+  req.faults = "-1:0";
+  const CampaignReply rep = daemon.handle_campaign(req);
+  EXPECT_EQ(rep.status, Status::kError);
+  EXPECT_NE(rep.reason.find("'-1'"), std::string::npos) << rep.reason;
 }
 
 TEST(ServeDaemon, InvalidLoadIsRejectedByResolve) {
@@ -241,7 +252,7 @@ TEST(ServeDaemon, FabricRequestRunsTheMultiHopCampaign) {
   node.family = "revsort";
   node.n = 64;
   node.m = 48;
-  EXPECT_NE(rep.spec_digest, node.digest(plan::ExecMode::kFused));
+  EXPECT_NE(rep.spec_digest, node.digest());
 
   const std::string json = daemon.scrape_json();
   EXPECT_NE(json.find("\"serve.fabric_campaigns\": 1"), std::string::npos)

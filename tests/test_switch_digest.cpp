@@ -20,22 +20,19 @@ SwitchSpec base_spec() {
 
 TEST(SwitchDigest, GoldenValuesArePinned) {
   // Computed once from the FNV-1a layout (family bytes, n, m, beta bits,
-  // r, s, passes, schedule, fault list, exec byte); pinned forever.
-  EXPECT_EQ(base_spec().digest(plan::ExecMode::kFused),
-            0x1d325abd870c673bull);
-  EXPECT_EQ(base_spec().digest(plan::ExecMode::kLegacy),
-            0x1d3259bd870c6588ull);
+  // r, s, passes, schedule, fault list, constant 0 byte); pinned forever.
+  EXPECT_EQ(base_spec().digest(), 0x1d325abd870c673bull);
 
   SwitchSpec col;
   col.family = "columnsort";
   col.n = 256;
   col.m = 192;
   col.beta = 0.75;
-  EXPECT_EQ(col.digest(plan::ExecMode::kFused), 0xf495d8b66a8bb226ull);
+  EXPECT_EQ(col.digest(), 0xf495d8b66a8bb226ull);
 
   SwitchSpec faulty = base_spec();
   faulty.faults.push_back(plan::ChipFault{1, 3});
-  EXPECT_EQ(faulty.digest(plan::ExecMode::kFused), 0x5b01f3617324a7aeull);
+  EXPECT_EQ(faulty.digest(), 0x5b01f3617324a7aeull);
 }
 
 TEST(SwitchDigest, StableAcrossCalls) {
@@ -81,11 +78,6 @@ TEST(SwitchDigest, EveryFieldFeedsTheDigest) {
   s = base_spec();
   s.faults.push_back(plan::ChipFault{0, 0});
   EXPECT_NE(s.digest(), base);
-
-  // The exec engine is part of the key: fused and legacy entries must
-  // never alias in the cache.
-  EXPECT_NE(base_spec().digest(plan::ExecMode::kFused),
-            base_spec().digest(plan::ExecMode::kLegacy));
 }
 
 TEST(SwitchDigest, FaultOrderAndContentMatter) {

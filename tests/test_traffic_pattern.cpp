@@ -38,9 +38,12 @@ TEST(TrafficPattern, PermutationPredicate) {
 }
 
 TEST(TrafficPattern, PermutationsAreBijectionsAtSeveralWidths) {
-  for (std::size_t n : {std::size_t{16}, std::size_t{64}, std::size_t{256}}) {
+  // n = 1 is the degenerate width: zero address bits, and every
+  // permutation must still map the one source to itself.
+  for (std::size_t n :
+       {std::size_t{1}, std::size_t{16}, std::size_t{64}, std::size_t{256}}) {
     for (PatternKind kind : kPermutations) {
-      require_addressable(kind, n);  // 16/64/256 all have even bit counts
+      require_addressable(kind, n);  // 1/16/64/256 all have even bit counts
       std::set<std::size_t> image;
       for (std::size_t src = 0; src < n; ++src) {
         const std::size_t dst = permute_dest(kind, src, n);

@@ -11,14 +11,13 @@ Checks, in order:
   5. with --chip-spans-per-route N (the pinned CI config uses 48: 3 stages
      x 16 chips of the faulted Revsort(256 -> 192) plan), each campaign's
      "plan.chip" span count equals N x its route_batch_dispatches counter;
-  6. each campaign's profile.plan.words_routed counter, when exported,
-     equals its total.delivered counter -- or, for fabric campaigns (any
+  6. each traced campaign's profile.plan.words_routed counter equals its
+     total.delivered counter -- or, for fabric campaigns (any
      fabric.hop<k>.* counters present), the sum over hops of
      fabric.hop<k>.sent + fabric.hop<k>.delivered, since a message is
-     routed once per hop it traverses.  When the run used the fused
-     executor (config.exec == "fused", the default), the counter is
-     REQUIRED on every traced campaign: a fused dispatch that fails to
-     publish its routed-word tally would otherwise pass silently.
+     routed once per hop it traverses.  The counter is REQUIRED on every
+     traced campaign: a dispatch that fails to publish its routed-word
+     tally would otherwise pass silently.
   7. every exported histogram uses the zero-separating log2 bucket schema:
      bucket 0 admits only the value 0 (upper bound 0) and bucket b >= 1
      admits [2^(b-1), 2^b - 1], so zero-latency fast-path deliveries are
@@ -106,10 +105,9 @@ def check_against_metrics(events, doc, chip_spans_per_route):
                     f"dispatches = {expected}"
                 )
         words = counters.get("profile.plan.words_routed")
-        fused = doc.get("config", {}).get("exec", "fused") == "fused"
-        if words is None and fused and campaign["profile"].get("enabled"):
+        if words is None and campaign["profile"].get("enabled"):
             fail(
-                f"campaign {pid}: fused run exported no "
+                f"campaign {pid}: traced run exported no "
                 "profile.plan.words_routed counter"
             )
         if any(k.startswith("fabric.hop") for k in counters):
