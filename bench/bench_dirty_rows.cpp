@@ -13,7 +13,6 @@
 
 #include "bench_common.hpp"
 #include "core/adversary.hpp"
-#include "message/traffic.hpp"
 #include "sortnet/columnsort.hpp"
 #include "sortnet/nearsort.hpp"
 #include "sortnet/revsort.hpp"

@@ -17,8 +17,8 @@
 // independently, so fusing cannot shrink the kernel work itself.
 #include "bench_common.hpp"
 #include "fabric/fabric_sim.hpp"
-#include "message/traffic.hpp"
 #include "runtime/metrics.hpp"
+#include "traffic/traffic_source.hpp"
 
 namespace {
 

@@ -4,11 +4,11 @@
 // The lane axis shows what batching across replicas buys over lanes=1
 // (one route() worth of work per dispatch).
 #include "bench_common.hpp"
-#include "message/traffic.hpp"
 #include "runtime/fabric_runtime.hpp"
 #include "switch/columnsort_switch.hpp"
 #include "switch/hyper_switch.hpp"
 #include "switch/revsort_switch.hpp"
+#include "traffic/traffic_source.hpp"
 
 namespace {
 
@@ -19,7 +19,7 @@ void print_artifacts() {
 pcs::rt::RuntimeOptions bench_opts(std::size_t lanes) {
   pcs::rt::RuntimeOptions opts;
   opts.queue_depth = 4;
-  opts.policy = pcs::msg::CongestionPolicy::kBufferRetry;
+  opts.policy = pcs::rt::CongestionPolicy::kBufferRetry;
   opts.lanes = lanes;
   opts.seed = 7100;
   opts.warmup_epochs = 4;

@@ -2,37 +2,67 @@
 // messages through the switches under sustained load, with the three
 // congestion disciplines of Section 1 (drop / buffer+retry / misroute), and
 // the two-level concentration hierarchy of the motivating application.
+// The policy table (D6a) and the measured stream (D6c) are FabricRuntime
+// campaigns, the engine pcs_serve and pcs_served run.
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "cost/resource_model.hpp"
 #include "message/ack_protocol.hpp"
-#include "message/congestion.hpp"
 #include "message/pipeline.hpp"
-#include "message/stream_engine.hpp"
-#include "message/traffic.hpp"
 #include "network/router_sim.hpp"
+#include "runtime/fabric_runtime.hpp"
 #include "switch/columnsort_switch.hpp"
 #include "switch/hyper_switch.hpp"
 #include "switch/revsort_switch.hpp"
+#include "traffic/factory.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+// The engine's closest match to one message per wire per round: one lane,
+// one queue slot per input wire (an arrival on a busy wire is turned away
+// at the door), no warmup and no drain, so every counter covers exactly the
+// `epochs` measured epochs and `residual` is the backlog left at the end.
+void run_rounds(const pcs::sw::ConcentratorSwitch& sw,
+                const pcs::traffic::TrafficSpec& traffic,
+                pcs::rt::CongestionPolicy policy, std::size_t epochs,
+                std::uint64_t seed, pcs::rt::MetricsRegistry& metrics) {
+  pcs::rt::RuntimeOptions opts;
+  opts.queue_depth = 1;
+  opts.policy = policy;
+  opts.lanes = 1;
+  opts.seed = seed;
+  opts.warmup_epochs = 0;
+  opts.measure_epochs = epochs;
+  opts.drain_epochs_max = 0;
+  pcs::rt::FabricRuntime runtime(sw, opts, [&traffic](std::size_t) {
+    return pcs::traffic::make_source(traffic);
+  });
+  runtime.run(metrics);
+}
+
 void policy_table(const pcs::sw::ConcentratorSwitch& sw, double arrival_p) {
-  std::printf("\n%s at arrival p=%.2f (offered ~%.1f/round, m=%zu):\n",
+  std::printf("\n%s at arrival p=%.2f (offered ~%.1f/epoch, m=%zu):\n",
               sw.name().c_str(), arrival_p,
               arrival_p * static_cast<double>(sw.inputs()), sw.outputs());
   std::printf("%16s %10s %10s %10s %10s %12s\n", "policy", "offered", "delivered",
-              "dropped", "backlog", "mean-latency");
-  for (auto p : {pcs::msg::CongestionPolicy::kDrop,
-                 pcs::msg::CongestionPolicy::kBufferRetry,
-                 pcs::msg::CongestionPolicy::kMisrouteRetry}) {
-    pcs::Rng rng(5001);
-    pcs::msg::RoundStats s = pcs::msg::simulate_rounds(sw, arrival_p, 300, p, rng);
-    std::printf("%16s %10zu %10zu %10zu %10zu %12.2f\n",
-                pcs::msg::policy_name(p).c_str(), s.offered, s.delivered, s.dropped,
-                s.max_backlog, s.mean_latency());
+              "dropped", "residual", "mean-latency");
+  pcs::traffic::TrafficSpec traffic;
+  traffic.width = sw.inputs();
+  traffic.intensity = arrival_p;
+  for (auto p : {pcs::rt::CongestionPolicy::kDrop,
+                 pcs::rt::CongestionPolicy::kBufferRetry,
+                 pcs::rt::CongestionPolicy::kMisrouteRetry}) {
+    pcs::rt::MetricsRegistry m;
+    run_rounds(sw, traffic, p, 300, 5001, m);
+    std::printf("%16s %10llu %10llu %10llu %10llu %12.2f\n",
+                pcs::rt::policy_name(p).c_str(),
+                static_cast<unsigned long long>(m.counter("offered").value()),
+                static_cast<unsigned long long>(m.counter("delivered").value()),
+                static_cast<unsigned long long>(m.counter("dropped").value()),
+                static_cast<unsigned long long>(m.counter("residual").value()),
+                m.gauge("mean_latency_epochs").value());
   }
 }
 
@@ -104,16 +134,28 @@ void print_artifacts() {
   std::printf("(combinational pipelining: depth costs only latency; sustained\n"
               " throughput is fixed by m and the setup period L + 1.)\n");
 
-  std::printf("\nmeasured stream (200 saturating batches, revsort 1024 -> 512):\n");
+  std::printf("\nmeasured stream (200 saturating epochs, revsort 1024 -> 512):\n");
   {
+    // Every wire offers every epoch and drop clears the losers, so each
+    // epoch presents a fresh full batch.  Epochs start every setup period;
+    // the last one's final bit leaves one flight time after its period.
     pcs::sw::RevsortSwitch sw(1024, 512);
-    pcs::msg::ExactCountTraffic gen(1024, 1024);
-    pcs::Rng rng(5006);
-    pcs::msg::StreamStats s = pcs::msg::run_stream(
-        sw, gen, rng, 200, pipe,
-        pcs::cost::revsort_report(1024, 512, dm).gate_delays);
-    std::printf("  delivered %zu of %zu, %.2f bits/cycle (model %.2f)\n",
-                s.delivered, s.offered, s.bits_per_cycle(),
+    pcs::traffic::TrafficSpec saturating;
+    saturating.width = 1024;
+    saturating.injection = "exact";
+    saturating.intensity = 1.0;
+    constexpr std::size_t kEpochs = 200;
+    pcs::rt::MetricsRegistry m;
+    run_rounds(sw, saturating, pcs::rt::CongestionPolicy::kDrop, kEpochs, 5006, m);
+    const std::uint64_t delivered = m.counter("delivered").value();
+    const std::size_t cycles =
+        kEpochs * pipe.setup_period() +
+        pipe.flight_cycles(pcs::cost::revsort_report(1024, 512, dm).gate_delays);
+    std::printf("  delivered %llu of %llu, %.2f bits/cycle (model %.2f)\n",
+                static_cast<unsigned long long>(delivered),
+                static_cast<unsigned long long>(m.counter("offered").value()),
+                static_cast<double>(delivered * pipe.payload_bits) /
+                    static_cast<double>(cycles),
                 pipe.payload_bits_per_cycle(512.0));
   }
 
@@ -142,17 +184,6 @@ void print_artifacts() {
               " slow acks, duplicates -- the protocol cost the switch designs\n"
               " offload to the higher layer.)\n");
 }
-
-void BM_SimulateRounds(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(256, 128);
-  for (auto _ : state) {
-    pcs::Rng rng(5003);
-    auto s = pcs::msg::simulate_rounds(sw, 0.4, 50,
-                                       pcs::msg::CongestionPolicy::kBufferRetry, rng);
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_SimulateRounds);
 
 // Setup throughput of the word-parallel routing engine: how many complete
 // switch setups per second the simulator sustains when rounds are batched

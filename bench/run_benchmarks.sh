@@ -11,7 +11,10 @@
 # bench_sim_speed so the plan executor's throughput can be compared
 # directly against the pre-plan engine.  The *Legacy rows in the committed
 # BENCH_plan.json are a PR 6 record of the unfused engine, which has since
-# moved to tests/ as an oracle; a fresh run no longer emits them.  bench_threads
+# moved to tests/ as an oracle; a fresh run no longer emits them.  Likewise
+# the BM_SimulateRounds row in the committed BENCH_throughput.json is a record
+# of the deleted round simulator (bench_runtime times the engine that
+# replaced it).  bench_threads
 # sweeps set_max_parallelism over 1/2/4/8 for the threads=1..N scaling
 # curve.  bench_traffic prices the composable traffic sources (valid-bit
 # epochs, destination draws, trace-record overhead, bound-stress search).

@@ -35,7 +35,6 @@ namespace {
 using pcs::rt::FabricRuntime;
 using pcs::rt::MetricsRegistry;
 using pcs::rt::RuntimeConfig;
-using pcs::rt::RuntimeOptions;
 using pcs::rt::RuntimeReport;
 
 struct Campaign {
@@ -49,19 +48,6 @@ struct Campaign {
   bool traced = false;
   pcs::obs::TraceSnapshot trace;
 };
-
-RuntimeOptions options_from(const RuntimeConfig& cfg) {
-  RuntimeOptions opts;
-  opts.queue_depth = cfg.queue_depth;
-  opts.policy = pcs::rt::policy_from_string(cfg.policy);
-  opts.lanes = cfg.lanes;
-  opts.seed = cfg.seed;
-  opts.warmup_epochs = cfg.warmup_epochs;
-  opts.measure_epochs = cfg.measure_epochs;
-  opts.drain_epochs_max = cfg.drain_epochs_max;
-  opts.check_invariants = cfg.check_invariants;
-  return opts;
-}
 
 void start_tracing(const RuntimeConfig& cfg) {
   pcs::obs::Tracer::instance().enable(cfg.trace_clock == "logical"
@@ -135,7 +121,8 @@ Campaign run_campaign(const std::string& family, const RuntimeConfig& base,
     return recording ? recorder.wrap(std::move(src), lane) : std::move(src);
   };
 
-  FabricRuntime runtime(*sw, options_from(cfg), std::move(factory));
+  FabricRuntime runtime(*sw, pcs::rt::runtime_options_from(cfg),
+                        std::move(factory));
   MetricsRegistry metrics;
   metrics.gauge("epsilon_bound").set(static_cast<double>(sw->epsilon_bound()));
   metrics.gauge("guaranteed_capacity")

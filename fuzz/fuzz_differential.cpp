@@ -38,7 +38,6 @@
 #include "core/invariants.hpp"
 #include "fabric/fabric_sim.hpp"
 #include "legacy_reference.hpp"
-#include "message/traffic.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
 #include "runtime/metrics.hpp"

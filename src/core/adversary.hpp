@@ -1,10 +1,11 @@
 // Adversarial search for worst-case nearsortedness: how close do real input
 // patterns get to the paper's epsilon bounds?
 //
-// The search combines the structured family of AdversarialTraffic, uniform
-// random patterns at many densities, and a greedy hill-climb that flips
-// bits while the measured epsilon does not decrease.  Results feed the
-// bench_load_ratio and bench_dirty_rows reports (paper-vs-measured).
+// The search combines the structured adversarial family
+// (traffic::AdversarialSource), uniform random patterns at many densities,
+// and a greedy hill-climb that flips bits while the measured epsilon does
+// not decrease.  Results feed the bench_load_ratio and bench_dirty_rows
+// reports (paper-vs-measured).
 #pragma once
 
 #include <cstdint>

@@ -12,11 +12,15 @@
 //              one executor (scalar, batch, fault-rewritten) that runs it
 //   switch  -- the paper's multichip constructions (the core contribution)
 //   cost    -- pins / chips / boards / area / volume / delay (Table 1)
-//   message -- bit-serial streaming, congestion policies, traffic
+//   traffic -- spatial patterns x injection processes, trace record/replay,
+//              bound-stress search
+//   message -- bit-serial streaming, the drop-and-resend ack protocol, the
+//              pipelined-throughput model
 //   network -- two-level concentration hierarchies and round simulation
 //   core    -- executable lemmas/theorems, bounds, adversarial search
-//   runtime -- closed-loop serving layer: queues, admission, epoch-batched
-//              routing, phased campaigns, metrics export
+//   runtime -- closed-loop serving layer: queues, admission, Section 1's
+//              congestion policies, epoch-batched routing, phased
+//              campaigns, metrics export
 //   fabric  -- multi-hop networks of plan-compiled switches: declarative
 //              FabricSpec/make_fabric, credit flow control, VOQ allocation,
 //              pluggable route policies, pipelined epoch execution
@@ -84,11 +88,8 @@
 
 #include "message/ack_protocol.hpp"
 #include "message/clocked_sim.hpp"
-#include "message/congestion.hpp"
 #include "message/message.hpp"
 #include "message/pipeline.hpp"
-#include "message/stream_engine.hpp"
-#include "message/traffic.hpp"
 
 #include "network/concentrator_tree.hpp"
 #include "network/knockout.hpp"

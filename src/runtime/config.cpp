@@ -125,6 +125,8 @@ void set_key(RuntimeConfig& cfg, const std::string& key, const std::string& valu
   }
 }
 
+}  // namespace
+
 void validate(const RuntimeConfig& cfg) {
   PCS_REQUIRE(!split_csv(cfg.family).empty(), "family list is empty");
   for (const std::string& f : split_csv(cfg.family)) {
@@ -190,8 +192,6 @@ void validate(const RuntimeConfig& cfg) {
     }
   }
 }
-
-}  // namespace
 
 std::size_t parse_size(const std::string& key, const std::string& v) {
   // std::stoull alone would skip leading blanks and accept a sign, wrapping
@@ -342,12 +342,25 @@ std::string config_to_json(const RuntimeConfig& cfg, std::size_t indent) {
   return os.str();
 }
 
-msg::CongestionPolicy policy_from_string(const std::string& s) {
-  if (s == "drop") return msg::CongestionPolicy::kDrop;
-  if (s == "buffer-retry") return msg::CongestionPolicy::kBufferRetry;
-  if (s == "misroute-retry") return msg::CongestionPolicy::kMisrouteRetry;
+CongestionPolicy policy_from_string(const std::string& s) {
+  if (s == "drop") return CongestionPolicy::kDrop;
+  if (s == "buffer-retry") return CongestionPolicy::kBufferRetry;
+  if (s == "misroute-retry") return CongestionPolicy::kMisrouteRetry;
   PCS_REQUIRE(false, "unknown congestion policy '" << s << "'");
-  return msg::CongestionPolicy::kDrop;  // unreachable
+  return CongestionPolicy::kDrop;  // unreachable
+}
+
+RuntimeOptions runtime_options_from(const RuntimeConfig& cfg) {
+  RuntimeOptions opts;
+  opts.queue_depth = cfg.queue_depth;
+  opts.policy = policy_from_string(cfg.policy);
+  opts.lanes = cfg.lanes;
+  opts.seed = cfg.seed;
+  opts.warmup_epochs = cfg.warmup_epochs;
+  opts.measure_epochs = cfg.measure_epochs;
+  opts.drain_epochs_max = cfg.drain_epochs_max;
+  opts.check_invariants = cfg.check_invariants;
+  return opts;
 }
 
 std::unique_ptr<sw::ConcentratorSwitch> make_switch(const std::string& family,

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "message/congestion.hpp"
 #include "plan/switch_plan.hpp"
+#include "runtime/fabric_runtime.hpp"
 #include "switch/concentrator.hpp"
 #include "traffic/factory.hpp"
 
@@ -134,6 +134,11 @@ RuntimeConfig load_config_file(const std::string& path);
 /// Apply one `key=value` override (the CLI's trailing arguments).
 void apply_override(RuntimeConfig& cfg, const std::string& assignment);
 
+/// Throw ContractViolation naming the first out-of-range or unknown setting.
+/// The one check every entry point runs: parse_config_text, apply_override
+/// and the daemon's per-request resolve.
+void validate(const RuntimeConfig& cfg);
+
 /// The parsed config echoed as a JSON object (sorted keys, deterministic),
 /// every line prefixed by `indent` spaces, for embedding in reports.
 std::string config_to_json(const RuntimeConfig& cfg, std::size_t indent = 0);
@@ -153,7 +158,11 @@ std::size_t parse_size(const std::string& key, const std::string& value);
 std::vector<plan::ChipFault> parse_faults(const std::string& value);
 
 /// Congestion policy from its policy_name() slug; throws on unknown names.
-msg::CongestionPolicy policy_from_string(const std::string& s);
+CongestionPolicy policy_from_string(const std::string& s);
+
+/// Queue bound, policy, lanes, seed, campaign phases and invariant checking
+/// lifted straight from the config (fabric::fabric_options_from's twin).
+RuntimeOptions runtime_options_from(const RuntimeConfig& cfg);
 
 /// Build one switch of `family` (a single name, not a list) with the
 /// config's shape: revsort -> RevsortSwitch(n, m), columnsort ->

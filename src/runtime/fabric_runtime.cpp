@@ -44,6 +44,18 @@ struct Lane {
 
 }  // namespace
 
+std::string policy_name(CongestionPolicy p) {
+  switch (p) {
+    case CongestionPolicy::kDrop:
+      return "drop";
+    case CongestionPolicy::kBufferRetry:
+      return "buffer-retry";
+    case CongestionPolicy::kMisrouteRetry:
+      return "misroute-retry";
+  }
+  return "unknown";
+}
+
 FabricRuntime::FabricRuntime(const sw::ConcentratorSwitch& sw, RuntimeOptions opts,
                              TrafficFactory traffic_factory)
     : sw_(sw), opts_(opts), traffic_factory_(std::move(traffic_factory)) {
@@ -200,21 +212,21 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
           continue;
         }
         switch (opts_.policy) {
-          case msg::CongestionPolicy::kDrop: {
+          case CongestionPolicy::kDrop: {
             const QueuedMsg head = lane.queues[i].front();
             lane.queues[i].pop_front();
             total_dropped.add();
             if (head.measured) dropped.add();
             break;
           }
-          case msg::CongestionPolicy::kBufferRetry:
+          case CongestionPolicy::kBufferRetry:
             // Loser keeps its queue slot and is re-presented next epoch.
             // Retries are attributed by event time (the epoch the retry
             // happens in), not the message's birth window: under sustained
             // overload the losing heads are typically warmup-born.
             if (in_measure) retries.add();
             break;
-          case msg::CongestionPolicy::kMisrouteRetry: {
+          case CongestionPolicy::kMisrouteRetry: {
             misrouted.push_back(lane.queues[i].front());
             lane.queues[i].pop_front();
             break;

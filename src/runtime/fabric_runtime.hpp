@@ -1,8 +1,8 @@
-// Closed-loop serving layer around a ConcentratorSwitch: the operational
-// counterpart to the one-shot simulators.  Messages arrive into bounded
-// per-input injection queues, an admission/overload policy (the Section 1
-// congestion disciplines, reused from message/congestion.hpp) decides what
-// happens to routing losers, and the campaign runs booksim-style phases:
+// Closed-loop serving layer around a ConcentratorSwitch: the one engine
+// behind every single-switch campaign.  Messages arrive into bounded
+// per-input injection queues, a congestion policy (Section 1's three
+// treatments, CongestionPolicy below) decides what happens to routing
+// losers, and the campaign runs booksim-style phases:
 // warmup (queues fill, nothing recorded) -> measurement (every event
 // attributed) -> drain (arrivals stop; either the backlog empties or the
 // drain cap trips and the run is declared saturated).
@@ -23,17 +23,30 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
-#include "message/congestion.hpp"
 #include "runtime/metrics.hpp"
 #include "switch/concentrator.hpp"
 #include "traffic/traffic_source.hpp"
 
 namespace pcs::rt {
 
+/// Section 1's treatments of a message the switch could not route this
+/// epoch.  The paper's third option, drop and let an acknowledgement
+/// protocol resend, is kDrop at this layer: the resend lives above it.
+enum class CongestionPolicy : std::uint8_t {
+  kDrop,           ///< the loser is discarded (an accounted drop)
+  kBufferRetry,    ///< the loser keeps its queue slot and retries next epoch
+  kMisrouteRetry,  ///< the loser re-enters on a random input with queue room
+};
+
+/// The policy's config slug: drop | buffer-retry | misroute-retry
+/// (policy_from_string in runtime/config.hpp is its inverse).
+std::string policy_name(CongestionPolicy p);
+
 struct RuntimeOptions {
   std::size_t queue_depth = 4;  ///< per-input injection queue bound (>= 1)
-  msg::CongestionPolicy policy = msg::CongestionPolicy::kBufferRetry;
+  CongestionPolicy policy = CongestionPolicy::kBufferRetry;
   std::size_t lanes = 4;        ///< independent replicas batched per epoch
   std::uint64_t seed = 1;
   std::size_t warmup_epochs = 32;

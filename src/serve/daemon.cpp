@@ -91,27 +91,9 @@ rt::RuntimeConfig ServeDaemon::resolve(const CampaignRequest& req) const {
     cfg.fabric_deflect_max = req.deflect_max;
   cfg.seed = req.seed;
 
-  PCS_REQUIRE(cfg.n >= 1 && cfg.m >= 1 && cfg.m <= cfg.n,
-              "campaign shape: n=" << cfg.n << " m=" << cfg.m);
-  PCS_REQUIRE(cfg.arrival_p >= 0.0 && cfg.arrival_p <= 1.0,
-              "campaign load out of [0,1]: " << cfg.arrival_p);
-  PCS_REQUIRE(cfg.lanes >= 1, "campaign lanes must be >= 1");
-  PCS_REQUIRE(cfg.queue_depth >= 1, "campaign queue_depth must be >= 1");
-  PCS_REQUIRE(cfg.measure_epochs >= 1, "campaign measure_epochs must be >= 1");
-  rt::policy_from_string(cfg.policy);  // throws on unknown
-  PCS_REQUIRE(cfg.arrival == "bernoulli" || cfg.arrival == "exact" ||
-                  cfg.arrival == "bursty" || cfg.arrival == "hotspot",
-              "unknown arrival process '" << cfg.arrival << "'");
-  PCS_REQUIRE(cfg.pattern.empty() || traffic::known_pattern(cfg.pattern),
-              "unknown traffic pattern '" << cfg.pattern << "'");
-  PCS_REQUIRE(cfg.injection.empty() || traffic::known_injection(cfg.injection),
-              "unknown injection process '" << cfg.injection << "'");
-  PCS_REQUIRE(cfg.fabric_route == "deterministic" ||
-                  cfg.fabric_route == "adaptive",
-              "unknown route policy '" << cfg.fabric_route << "'");
-  PCS_REQUIRE(cfg.fabric_epochs_in_flight <= 4096,
-              "campaign epochs_in_flight must be <= 4096, got "
-                  << cfg.fabric_epochs_in_flight);
+  // The same check a config file or a CLI override gets, so the daemon
+  // refuses exactly what pcs_serve refuses.
+  rt::validate(cfg);
   return cfg;
 }
 
@@ -179,22 +161,13 @@ CampaignReply ServeDaemon::handle_campaign(const CampaignRequest& req) {
     const PlanCache::Checkout co = cache_.checkout(spec);
     global_.counter(co.hit ? "serve.cache.hits" : "serve.cache.misses").add(1);
 
-    rt::RuntimeOptions opts;
-    opts.queue_depth = cfg.queue_depth;
-    opts.policy = rt::policy_from_string(cfg.policy);
-    opts.lanes = cfg.lanes;
-    opts.seed = cfg.seed;
-    opts.warmup_epochs = cfg.warmup_epochs;
-    opts.measure_epochs = cfg.measure_epochs;
-    opts.drain_epochs_max = cfg.drain_epochs_max;
-    opts.check_invariants = cfg.check_invariants;
-
     // The raw pointer into the cache checkout stays valid for the whole
     // campaign; worstcase sources run their bound-stress search against it.
     const sw::ConcentratorSwitch* sw_ptr = co.sw.get();
-    rt::FabricRuntime runtime(*co.sw, opts, [&cfg, sw_ptr](std::size_t) {
-      return rt::make_traffic(cfg, cfg.n, sw_ptr);
-    });
+    rt::FabricRuntime runtime(*co.sw, rt::runtime_options_from(cfg),
+                              [&cfg, sw_ptr](std::size_t) {
+                                return rt::make_traffic(cfg, cfg.n, sw_ptr);
+                              });
     rt::MetricsRegistry local;
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -99,7 +99,8 @@ class ServeDaemon {
   void do_reload();
   void aggregate_campaign(const rt::MetricsRegistry& local);
   /// Base-config snapshot + request sentinel resolution -> one effective
-  /// campaign config.  Throws ContractViolation on out-of-range fields.
+  /// campaign config.  Throws ContractViolation on any field rt::validate
+  /// refuses, the same check a config file gets.
   rt::RuntimeConfig resolve(const CampaignRequest& req) const;
   /// The multi-hop path (cfg.topology non-empty): builds the fabric through
   /// pcs::make_fabric (no plan cache; FabricSim owns its plans) and reports

@@ -1,6 +1,5 @@
 // The one construction point for traffic sources.  Every campaign layer
-// (runtime, fabric, daemon, CLIs, benches) builds its sources here; the
-// legacy msg:: generators are thin adapters over the same pieces.
+// (runtime, fabric, daemon, CLIs, benches) builds its sources here.
 #pragma once
 
 #include <cstdint>

@@ -35,7 +35,7 @@ BernoulliProcess::BernoulliProcess(std::vector<double> rates)
 BitVec BernoulliProcess::next(Rng& rng) {
   // The per-bit loop in ascending index order draws exactly the uniforms
   // Rng::bernoulli_bits(width, p) would, so flat profiles stay bit-identical
-  // with the legacy BernoulliTraffic stream.
+  // with the pinned arrival=bernoulli stream.
   BitVec out(width_);
   for (std::size_t i = 0; i < width_; ++i) {
     out.set(i, rng.chance(rates_[i]));

@@ -2,14 +2,15 @@
 // injected, independent of *where* it lands (that is pattern.hpp).
 //
 // A process turns a per-wire rate profile into one valid-bit vector per
-// epoch.  The three processes reproduce the legacy msg:: generators'
-// Rng call order exactly, so a refactored campaign replays the same random
-// stream bit for bit (the golden-pinned equivalence tests depend on this):
+// epoch.  The three processes keep the Rng call order of the generators
+// they replaced, so every campaign replays its historical random stream bit
+// for bit (the golden-pinned stream hashes in the traffic suite depend on
+// this):
 //
 //  * Bernoulli draws one uniform per wire in ascending index order, which
 //    is precisely Rng::bernoulli_bits when the profile is flat.
 //  * OnOff runs one two-state Markov chain per wire -- per wire, first the
-//    state-transition draw, then the emission draw (BurstyTraffic's order).
+//    state-transition draw, then the emission draw.
 //  * ExactCount places exactly k bits via Rng::exact_weight_bits (Floyd)
 //    and ignores the spatial profile by construction.
 #pragma once
@@ -51,8 +52,8 @@ class BernoulliProcess : public InjectionProcess {
 };
 
 /// Per-wire two-state Markov chain (on-off bursty).  Per-wire rate scaling
-/// comes in through the p_on/p_off vectors; the flat constructor matches
-/// the legacy BurstyTraffic stream exactly.
+/// comes in through the p_on/p_off vectors; the flat constructor emits the
+/// pinned arrival=bursty stream.
 class OnOffProcess : public InjectionProcess {
  public:
   OnOffProcess(std::size_t width, double p_on, double p_off, double on_to_off,

@@ -63,7 +63,7 @@ std::size_t permute_dest(PatternKind kind, std::size_t src, std::size_t n);
 /// Per-wire intensity profile for valid-bit campaigns: entry i is the
 /// Bernoulli/Markov base rate of wire i given nominal per-input intensity
 /// `p`.  Every pattern is flat at p except hotspot, which reproduces the
-/// legacy HotSpotTraffic shape: the first max(1, floor(width*fraction))
+/// arrival=hotspot shape: the first max(1, floor(width*fraction))
 /// wires run at min(1, 4p) and the rest at p/2, so `p` stays a *per-input*
 /// nominal intensity that the hot block front-loads (aggregate offered load
 /// is approximately 15/16 of width*p at fraction 1/8, not width*p).

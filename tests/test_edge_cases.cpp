@@ -3,13 +3,13 @@
 
 #include "hyper/hyper_circuit.hpp"
 #include "label_mesh.hpp"
-#include "message/congestion.hpp"
-#include "message/traffic.hpp"
 #include "network/multistage.hpp"
+#include "runtime/fabric_runtime.hpp"
 #include "switch/full_sort_hyper.hpp"
 #include "switch/hyper_switch.hpp"
 #include "switch/revsort_switch.hpp"
 #include "switch/wiring.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -65,22 +65,35 @@ TEST(EdgeCases, FullSorterArrangementIsSorted) {
 }
 
 TEST(EdgeCases, MisroutePolicyWithEverythingBusy) {
-  // All wires saturated: roaming messages must survive rounds without a
-  // free wire and be placed eventually.
+  // All wires saturated, one queue slot each: every misrouted loser must
+  // find a wire again (its own slot has just emptied), never overflow.
   sw::HyperSwitch sw(8, 1);
-  Rng rng(442);
-  msg::RoundStats stats = msg::simulate_rounds(
-      sw, 1.0, 100, msg::CongestionPolicy::kMisrouteRetry, rng);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.delivered, 100u);  // exactly one per round through m = 1
-  EXPECT_GT(stats.max_backlog, 5u);
+  rt::RuntimeOptions opts;
+  opts.queue_depth = 1;
+  opts.policy = rt::CongestionPolicy::kMisrouteRetry;
+  opts.lanes = 1;
+  opts.seed = 442;
+  opts.warmup_epochs = 0;
+  opts.measure_epochs = 100;
+  opts.drain_epochs_max = 0;
+  rt::FabricRuntime runtime(sw, opts, [](std::size_t) {
+    return std::make_unique<traffic::ComposedSource>(
+        traffic::PatternKind::kUniform,
+        std::make_unique<traffic::BernoulliProcess>(8, 1.0), 0.125);
+  });
+  rt::MetricsRegistry metrics;
+  runtime.run(metrics);
+  EXPECT_EQ(metrics.counter("dropped").value(), 0u);
+  // Exactly one per round through m = 1.
+  EXPECT_EQ(metrics.counter("delivered").value(), 100u);
+  EXPECT_GT(metrics.histogram("backlog").max(), 5u);
 }
 
 TEST(EdgeCases, TrafficValidation) {
-  EXPECT_THROW(msg::BernoulliTraffic(8, 1.5), ContractViolation);
-  EXPECT_THROW(msg::BurstyTraffic(8, 0.5, 0.5, 1.5, 0.1), ContractViolation);
-  EXPECT_THROW(msg::AdversarialTraffic(8, 3, 0), ContractViolation);
-  msg::ExactCountTraffic zero(8, 0);
+  EXPECT_THROW(traffic::BernoulliProcess(8, 1.5), ContractViolation);
+  EXPECT_THROW(traffic::OnOffProcess(8, 0.5, 0.5, 1.5, 0.1), ContractViolation);
+  EXPECT_THROW(traffic::AdversarialSource(8, 3, 0), ContractViolation);
+  traffic::ExactCountProcess zero(8, 0);
   Rng rng(443);
   EXPECT_EQ(zero.next(rng).count(), 0u);
 }

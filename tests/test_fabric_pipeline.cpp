@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "fabric/fabric_sim.hpp"
-#include "message/traffic.hpp"
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 #include "util/parallel.hpp"

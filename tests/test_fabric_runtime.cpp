@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "message/congestion.hpp"
-#include "message/traffic.hpp"
 #include "switch/columnsort_switch.hpp"
 #include "switch/hyper_switch.hpp"
 #include "switch/revsort_switch.hpp"
@@ -11,8 +9,6 @@
 
 namespace pcs::rt {
 namespace {
-
-using msg::CongestionPolicy;
 
 FabricRuntime::TrafficFactory bernoulli(std::size_t width, double p) {
   return [width, p](std::size_t) -> std::unique_ptr<traffic::TrafficSource> {
@@ -103,7 +99,7 @@ TEST(FabricRuntime, SustainedOverloadAllPolicies) {
     FabricRuntime runtime(sw, opts, bernoulli(64, 1.0));
     MetricsRegistry metrics;
     RuntimeReport report = runtime.run(metrics);
-    const std::string label = msg::policy_name(policy);
+    const std::string label = policy_name(policy);
 
     // Per-setup service can never exceed the output count: each of the
     // route_batch dispatches resolves one setup per lane, each routing at

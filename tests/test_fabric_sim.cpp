@@ -8,8 +8,8 @@
 
 #include "fabric/fabric_config.hpp"
 #include "fabric/fabric_sim.hpp"
-#include "message/traffic.hpp"
 #include "runtime/metrics.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::fabric {
@@ -72,8 +72,12 @@ void check_hop_accounting(const MetricsRegistry& m, const FabricGraph& g) {
               ctr(m, p + "sent") + ctr(m, p + "delivered") +
                   ctr(m, p + "dropped.fault") + ctr(m, p + "dropped.deflect") +
                   static_cast<std::uint64_t>(res->second.value()));
-    if (k + 1 < g.hops()) EXPECT_EQ(ctr(m, p + "delivered"), 0u);
-    if (k + 1 == g.hops()) EXPECT_EQ(ctr(m, p + "sent"), 0u);
+    if (k + 1 < g.hops()) {
+      EXPECT_EQ(ctr(m, p + "delivered"), 0u);
+    }
+    if (k + 1 == g.hops()) {
+      EXPECT_EQ(ctr(m, p + "sent"), 0u);
+    }
   }
 }
 

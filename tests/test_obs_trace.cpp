@@ -7,13 +7,13 @@
 #include <string>
 #include <vector>
 
-#include "message/traffic.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
 #include "runtime/fabric_runtime.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/trace_bridge.hpp"
 #include "switch/make_switch.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 

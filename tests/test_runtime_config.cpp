@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "message/traffic.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::rt {
@@ -54,6 +53,17 @@ out = custom.json
   EXPECT_EQ(cfg.drain_epochs_max, 500u);
   EXPECT_TRUE(cfg.check_invariants);
   EXPECT_EQ(cfg.out, "custom.json");
+
+  // The engine options carry the campaign keys over unchanged.
+  const RuntimeOptions opts = runtime_options_from(cfg);
+  EXPECT_EQ(opts.queue_depth, 8u);
+  EXPECT_EQ(opts.policy, CongestionPolicy::kMisrouteRetry);
+  EXPECT_EQ(opts.lanes, 2u);
+  EXPECT_EQ(opts.seed, 99u);
+  EXPECT_EQ(opts.warmup_epochs, 5u);
+  EXPECT_EQ(opts.measure_epochs, 50u);
+  EXPECT_EQ(opts.drain_epochs_max, 500u);
+  EXPECT_TRUE(opts.check_invariants);
 }
 
 TEST(RuntimeConfig, ExecEngineKey) {
@@ -139,10 +149,10 @@ TEST(RuntimeConfig, SplitCsvTrimsAndDropsEmpties) {
 }
 
 TEST(RuntimeConfig, PolicyFromString) {
-  EXPECT_EQ(policy_from_string("drop"), msg::CongestionPolicy::kDrop);
-  EXPECT_EQ(policy_from_string("buffer-retry"), msg::CongestionPolicy::kBufferRetry);
+  EXPECT_EQ(policy_from_string("drop"), CongestionPolicy::kDrop);
+  EXPECT_EQ(policy_from_string("buffer-retry"), CongestionPolicy::kBufferRetry);
   EXPECT_EQ(policy_from_string("misroute-retry"),
-            msg::CongestionPolicy::kMisrouteRetry);
+            CongestionPolicy::kMisrouteRetry);
   EXPECT_THROW(policy_from_string("yolo"), ContractViolation);
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fabric/fabric_config.hpp"
+#include "util/assert.hpp"
 
 namespace pcs::serve {
 namespace {
@@ -119,6 +120,30 @@ TEST(ServeDaemon, InvalidLoadIsRejectedByResolve) {
   req.load = 1.5;
   const CampaignReply rep = daemon.handle_campaign(req);
   EXPECT_EQ(rep.status, Status::kError);
+}
+
+TEST(ServeDaemon, ResolveRefusesWhatAConfigFileRefuses) {
+  // resolve() runs the config's own validate(), so a request is refused
+  // exactly when the same settings in a config file would be.
+  ServeDaemon daemon(small_base(), ServeOptions{});
+  CampaignRequest req = default_request("t0");
+  req.deflect_max = 2;  // needs route=adaptive, even on a single switch
+  CampaignReply rep = daemon.handle_campaign(req);
+  EXPECT_EQ(rep.status, Status::kError);
+  EXPECT_NE(rep.reason.find("deflect_max"), std::string::npos) << rep.reason;
+  EXPECT_THROW(rt::parse_config_text("deflect_max = 2\n"), ContractViolation);
+
+  req = default_request("t0");
+  req.family = "full-revsort";  // a plan family, but not a campaign family
+  req.m = 64;
+  rep = daemon.handle_campaign(req);
+  EXPECT_EQ(rep.status, Status::kError);
+  EXPECT_NE(rep.reason.find("full-revsort"), std::string::npos) << rep.reason;
+  EXPECT_THROW(rt::parse_config_text("family = full-revsort\nn = 64\nm = 64\n"),
+               ContractViolation);
+
+  // The daemon keeps serving afterwards.
+  EXPECT_EQ(daemon.handle_campaign(default_request("t0")).status, Status::kOk);
 }
 
 TEST(ServeDaemon, ScrapeHoldsConservationAcrossCampaigns) {

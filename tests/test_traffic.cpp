@@ -1,14 +1,19 @@
-#include "message/traffic.hpp"
-
+// The injection processes and the structured adversarial source, driven
+// directly: densities, exact counts, on-off burstiness, rate-profiled hot
+// spots and the adversarial family's cycling.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "traffic/injection.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/assert.hpp"
 
-namespace pcs::msg {
+namespace pcs::traffic {
 namespace {
 
 TEST(Traffic, BernoulliDensity) {
-  BernoulliTraffic gen(1000, 0.25);
+  BernoulliProcess gen(1000, 0.25);
   Rng rng(210);
   std::size_t total = 0;
   for (int t = 0; t < 50; ++t) total += gen.next(rng).count();
@@ -19,16 +24,16 @@ TEST(Traffic, BernoulliDensity) {
 }
 
 TEST(Traffic, ExactCountAlwaysExact) {
-  ExactCountTraffic gen(100, 37);
+  ExactCountProcess gen(100, 37);
   Rng rng(211);
   for (int t = 0; t < 20; ++t) EXPECT_EQ(gen.next(rng).count(), 37u);
-  EXPECT_THROW(ExactCountTraffic(10, 11), pcs::ContractViolation);
+  EXPECT_THROW(ExactCountProcess(10, 11), pcs::ContractViolation);
 }
 
 TEST(Traffic, BurstyProducesTemporalCorrelation) {
   // With sticky states, consecutive samples correlate more than independent
   // Bernoulli would: measure the lag-1 autocorrelation of a single wire.
-  BurstyTraffic gen(64, 0.9, 0.05, 0.05, 0.05);
+  OnOffProcess gen(64, 0.9, 0.05, 0.05, 0.05);
   Rng rng(212);
   std::vector<BitVec> frames;
   for (int t = 0; t < 400; ++t) frames.push_back(gen.next(rng));
@@ -44,7 +49,10 @@ TEST(Traffic, BurstyProducesTemporalCorrelation) {
 }
 
 TEST(Traffic, HotSpotConcentratesLoad) {
-  HotSpotTraffic gen(100, 20, 0.9, 0.05);
+  // Wires 0..19 run hot at 0.9, the other 80 cold at 0.05.
+  std::vector<double> rates(100, 0.05);
+  for (std::size_t i = 0; i < 20; ++i) rates[i] = 0.9;
+  BernoulliProcess gen(rates);
   Rng rng(213);
   std::size_t hot_hits = 0, cold_hits = 0;
   for (int t = 0; t < 100; ++t) {
@@ -57,16 +65,16 @@ TEST(Traffic, HotSpotConcentratesLoad) {
 }
 
 TEST(Traffic, AdversarialFamilyExactCountsAndCycling) {
-  AdversarialTraffic gen(64, 16, 8);
+  AdversarialSource gen(64, 16, 8);
   Rng rng(214);
   std::vector<BitVec> patterns;
   for (std::size_t f = 0; f < gen.family_size(); ++f) {
-    BitVec v = gen.next(rng);
+    BitVec v = gen.next_valid(rng);
     EXPECT_EQ(v.count(), 16u) << "pattern " << f;
     patterns.push_back(v);
   }
   // The family cycles: the next pattern equals the first.
-  EXPECT_EQ(gen.next(rng), patterns[0]);
+  EXPECT_EQ(gen.next_valid(rng), patterns[0]);
   // Patterns are genuinely distinct.
   for (std::size_t a = 0; a < patterns.size(); ++a) {
     for (std::size_t b = a + 1; b < patterns.size(); ++b) {
@@ -77,15 +85,15 @@ TEST(Traffic, AdversarialFamilyExactCountsAndCycling) {
 
 TEST(Traffic, AdversarialEdgeCounts) {
   Rng rng(215);
-  AdversarialTraffic empty(16, 0, 4);
+  AdversarialSource empty(16, 0, 4);
   for (std::size_t f = 0; f < empty.family_size(); ++f) {
-    EXPECT_EQ(empty.next(rng).count(), 0u);
+    EXPECT_EQ(empty.next_valid(rng).count(), 0u);
   }
-  AdversarialTraffic full(16, 16, 4);
+  AdversarialSource full(16, 16, 4);
   for (std::size_t f = 0; f < full.family_size(); ++f) {
-    EXPECT_EQ(full.next(rng).count(), 16u);
+    EXPECT_EQ(full.next_valid(rng).count(), 16u);
   }
 }
 
 }  // namespace
-}  // namespace pcs::msg
+}  // namespace pcs::traffic

@@ -2,9 +2,10 @@
 // arrival= configs through the src/traffic factory, determinism per seed,
 // hotspot intensity semantics, and the destination-side pattern contracts.
 //
-// The golden hashes were captured from the legacy msg:: generators before
-// the traffic subsystem existed; the factory must reproduce those offered
-// streams byte for byte, so these pins are the refactor's safety net.
+// The golden hashes were captured from the generators that predate the
+// traffic subsystem (since deleted); the factory must reproduce those
+// offered streams byte for byte, so these pins are the refactor's safety
+// net.
 #include "traffic/traffic_source.hpp"
 
 #include <gtest/gtest.h>

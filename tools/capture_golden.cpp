@@ -5,9 +5,9 @@
 #include <string>
 
 #include "fabric/fabric_sim.hpp"
-#include "message/traffic.hpp"
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
+#include "traffic/traffic_source.hpp"
 #include "util/digest.hpp"
 #include "util/parallel.hpp"
 
