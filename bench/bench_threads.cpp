@@ -7,6 +7,11 @@
 // reads the threads=1..N series from there.  On a 1-vCPU host the clamp
 // still exercises the pool handoff, but the curve is flat by construction
 // -- the JSON records whatever the machine can actually show.
+//
+// The BM_ThreadsSmallRevsort rows sweep the other axis: small dispatches of
+// fabric_omega's node, Revsort(256 -> 192), from 4 to 1024 patterns.  They
+// are the sweep behind kMinChunkWork (util/parallel.hpp), the work below
+// which a dispatch runs inline instead of fanning out over the pool.
 #include <cstdio>
 #include <thread>
 
@@ -44,12 +49,12 @@ class ParallelismClamp {
 };
 
 void route_batch_loop(benchmark::State& state, const plan::PlanExecutor& exec,
-                      std::size_t batch) {
+                      std::size_t batch, double density = 0.5) {
   pcs::Rng rng(7001);  // same seed/density as bench_plan's loops
   std::vector<pcs::BitVec> valids;
   valids.reserve(batch);
   for (std::size_t i = 0; i < batch; ++i) {
-    valids.push_back(rng.bernoulli_bits(exec.inputs(), 0.5));
+    valids.push_back(rng.bernoulli_bits(exec.inputs(), density));
   }
   std::size_t routed = 0;
   for (auto _ : state) {
@@ -90,6 +95,20 @@ void BM_ThreadsRouteBatchFaultyRevsort(benchmark::State& state) {
   route_batch_loop(state, exec, 256);
 }
 BENCHMARK(BM_ThreadsRouteBatchFaultyRevsort)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// Small dispatches: args are (threads, patterns, valid bits per 1000
+// wires).  5 per mille is fabric_omega's grant density (about 1.3 granted
+// messages per 256-wire pattern); 500 is bench_plan's.  Items are
+// wire-patterns, so items/s compares across batch sizes.
+void BM_ThreadsSmallRevsort(benchmark::State& state) {
+  const ParallelismClamp clamp(static_cast<std::size_t>(state.range(0)));
+  static const plan::PlanExecutor exec(plan::compile_revsort_plan(256, 192));
+  route_batch_loop(state, exec, static_cast<std::size_t>(state.range(1)),
+                   static_cast<double>(state.range(2)) / 1000.0);
+}
+BENCHMARK(BM_ThreadsSmallRevsort)
+    ->ArgNames({"threads", "patterns", "permille"})
+    ->ArgsProduct({{1, 4}, {4, 16, 32, 64, 96, 128, 192, 256, 512, 1024}, {5, 500}});
 
 }  // namespace
 

@@ -49,6 +49,11 @@ for bench in sim_speed throughput plan threads obs fabric serve traffic; do
   [ "$bench" = fabric ] && extra="--benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true \
     --benchmark_min_time=0.3"
+  # The small-dispatch rows of bench_threads compare inline and pooled
+  # dispatches of a few microseconds each; same treatment.
+  [ "$bench" = threads ] && extra="--benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_min_time=0.2"
   "$build_dir/bench/bench_$bench" \
     --benchmark_format=json \
     --benchmark_out="$repo_root/BENCH_$bench.json" \

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         overrides.push_back(arg);
       }
     }
-    for (const std::string& o : overrides) pcs::rt::apply_override(cfg, o);
+    pcs::rt::apply_overrides(cfg, overrides);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "config error: %s\n", e.what());
     return 2;

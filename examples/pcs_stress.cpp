@@ -43,6 +43,7 @@ struct Options {
 int main(int argc, char** argv) {
   Options o;
   try {
+    std::vector<std::string> overrides;
     for (int a = 1; a < argc; ++a) {
       const std::string arg = argv[a];
       if (arg == "--help" || arg == "-h") usage_and_exit(0);
@@ -59,9 +60,10 @@ int main(int argc, char** argv) {
       } else if (key == "chip_w") {
         o.chip_w = std::stoul(val);
       } else {
-        pcs::rt::apply_override(o.cfg, arg);
+        overrides.push_back(arg);
       }
     }
+    pcs::rt::apply_overrides(o.cfg, overrides);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pcs_stress: %s\n", e.what());
     return 2;

@@ -24,8 +24,10 @@ std::size_t RoundRobinAllocator::allocate(const AllocProblem& p,
               "allocator built for " << ins_ << "x" << outs_ << ", problem is "
                                      << p.ins << "x" << p.outs);
   reset_grants(p, grants);
-  std::vector<std::uint32_t> in_left = p.cap_in;
-  std::vector<std::uint32_t> out_left = p.cap_out;
+  std::vector<std::uint32_t>& in_left = in_left_;
+  std::vector<std::uint32_t>& out_left = out_left_;
+  in_left.assign(p.cap_in.begin(), p.cap_in.end());
+  out_left.assign(p.cap_out.begin(), p.cap_out.end());
   const std::size_t pairs = ins_ * outs_;
   std::size_t total = 0;
   // Sweep the (in, out) pairs starting at the rotating cursor, one grant per
@@ -59,8 +61,11 @@ std::size_t ISlipAllocator::allocate(const AllocProblem& p,
               "allocator built for " << ins_ << "x" << outs_ << ", problem is "
                                      << p.ins << "x" << p.outs);
   reset_grants(p, grants);
-  std::vector<std::uint32_t> in_left = p.cap_in;
-  std::vector<std::uint32_t> out_left = p.cap_out;
+  std::vector<std::uint32_t>& in_left = in_left_;
+  std::vector<std::uint32_t>& out_left = out_left_;
+  std::vector<std::size_t>& granted_to = granted_to_;
+  in_left.assign(p.cap_in.begin(), p.cap_in.end());
+  out_left.assign(p.cap_out.begin(), p.cap_out.end());
   std::size_t total = 0;
 
   // Iterated request/grant/accept.  Each iteration matches every input with
@@ -73,7 +78,7 @@ std::size_t ISlipAllocator::allocate(const AllocProblem& p,
     progress = false;
     // Grant phase: each output with remaining quota picks, from the inputs
     // still requesting it, the first at or after its grant pointer.
-    std::vector<std::size_t> granted_to(outs_, ins_);  // ins_ = no grant
+    granted_to.assign(outs_, ins_);  // ins_ = no grant
     for (std::size_t d = 0; d < outs_; ++d) {
       if (out_left[d] == 0) continue;
       for (std::size_t i = 0; i < ins_; ++i) {

@@ -18,7 +18,8 @@
 //
 // Allocators are deterministic: no RNG, all state is the pointer vector, so
 // campaigns stay byte-reproducible.  One instance per node persists across
-// epochs (the pointers ARE the fairness state).
+// epochs (the pointers ARE the fairness state), and so do its per-round
+// budget vectors, which only ever hold the current call's values.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +69,7 @@ class RoundRobinAllocator final : public Allocator {
  private:
   std::size_t ins_, outs_;
   std::size_t cursor_ = 0;  ///< starting (in, out) pair, advanced per epoch
+  std::vector<std::uint32_t> in_left_, out_left_;  ///< per-call scratch
 };
 
 /// iSLIP-style separable allocator: iterated request/grant/accept with
@@ -84,6 +86,9 @@ class ISlipAllocator final : public Allocator {
   std::size_t ins_, outs_;
   std::vector<std::size_t> grant_ptr_;   ///< per-out: next input to favor
   std::vector<std::size_t> accept_ptr_;  ///< per-in: next output to favor
+  // Per-call scratch: remaining budgets and each round's grant per output.
+  std::vector<std::uint32_t> in_left_, out_left_;
+  std::vector<std::size_t> granted_to_;
 };
 
 /// Factory keyed by config slug ("rr" | "islip"); throws on unknown names.

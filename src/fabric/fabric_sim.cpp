@@ -41,6 +41,9 @@ FabricSim::FabricSim(FabricSpec spec, FabricOptions opts,
       opts_(std::move(opts)),
       traffic_factory_(std::move(traffic)) {
   PCS_REQUIRE(opts_.queue_depth >= 1, "fabric queue_depth must be >= 1");
+  // Every campaign runs at least epoch 0 on every hop, so the per-hop
+  // series run() creates up front are exactly the ones the epochs touch.
+  PCS_REQUIRE(opts_.measure_epochs >= 1, "fabric measure_epochs must be >= 1");
   PCS_REQUIRE(static_cast<bool>(traffic_factory_),
               "FabricSim needs a traffic factory");
 
@@ -140,6 +143,36 @@ struct FabricSim::EpochContext {
   rt::MetricsRegistry* metrics = nullptr;
   std::size_t dispatches = 0;
 
+  // Metric handles, resolved once at the start of run() so the epoch loop
+  // builds no key and takes no registry lock.  The optional series stay
+  // null until first used, so a campaign that never deflects keeps its
+  // scrape key set.
+  struct HopSeries {
+    Counter* granted = nullptr;
+    Counter* credit_stalls = nullptr;
+    Histogram* occupancy = nullptr;
+    Histogram* latency = nullptr;
+    Counter* accepted = nullptr;
+    Counter* sent = nullptr;
+    Counter* delivered = nullptr;
+    Counter* dropped_fault = nullptr;
+    Counter* deflections = nullptr;      ///< optional
+    Counter* dropped_deflect = nullptr;  ///< optional
+  };
+  std::vector<HopSeries> hop;
+  Counter* offered = nullptr;
+  Counter* rejected = nullptr;
+  Counter* delivered = nullptr;
+  Counter* dropped = nullptr;
+  Histogram* latency = nullptr;
+  Histogram* backlog = nullptr;
+
+  // Buffers recycled across epochs: one node's allocation problem and its
+  // grants, and the masks of one route_batch dispatch.
+  AllocProblem problem;
+  std::vector<std::uint32_t> grants;
+  std::vector<BitVec> batch;
+
   // Whole-campaign tallies (mirrored into total.* at every epoch check).
   std::uint64_t total_offered = 0;
   std::uint64_t total_delivered = 0;
@@ -161,10 +194,13 @@ struct FabricSim::EpochContext {
 };
 
 /// One (epoch, hop) stage: the allocator's grants as per-(node, out-link)
-/// valid-bit patterns, and the switch routings that resolve them.
+/// valid-bit patterns, and the switch routings that resolve them.  Slots
+/// [0, patterns) hold the live stage; every slot keeps its buffers when the
+/// unit is reset, so steady-state epochs rebuild nothing on the heap.
 struct FabricSim::Unit {
   std::size_t epoch = 0;
   std::size_t hop = 0;
+  std::size_t patterns = 0;
 
   struct Pattern {
     std::size_t node = 0;
@@ -176,27 +212,64 @@ struct FabricSim::Unit {
   std::vector<Pattern> meta;
   std::vector<BitVec> valids;
   std::vector<sw::SwitchRouting> routings;
+
+  void reset(std::size_t e, std::size_t k) {
+    epoch = e;
+    hop = k;
+    patterns = 0;
+  }
+
+  /// Slot `patterns`, cleared to no ports and zero bits (a new slot gets
+  /// `wires` of them).  The caller keeps it by bumping `patterns`.
+  Pattern& open_slot(std::size_t wires) {
+    if (meta.size() == patterns) {
+      meta.emplace_back();
+      valids.emplace_back(wires);
+    }
+    Pattern& pat = meta[patterns];
+    pat.ports.clear();
+    valids[patterns].fill(false);
+    return pat;
+  }
+
+  /// Swap the live masks onto the end of a dispatch batch, and back after
+  /// the dispatch from batch[at, at + patterns): the masks move without
+  /// being freed or copied.
+  void lend_valids(std::vector<BitVec>& batch) {
+    for (std::size_t i = 0; i < patterns; ++i) {
+      batch.emplace_back();
+      std::swap(batch.back(), valids[i]);
+    }
+  }
+  void reclaim_valids(std::vector<BitVec>& batch, std::size_t at) {
+    for (std::size_t i = 0; i < patterns; ++i) std::swap(valids[i], batch[at + i]);
+  }
 };
 
+Counter& FabricSim::optional_counter(EpochContext& ctx, Counter*& slot,
+                                    std::size_t hop, const char* leaf) const {
+  if (slot == nullptr) slot = &ctx.metrics->counter(hop_metric(hop, leaf));
+  return *slot;
+}
+
 void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
-  rt::MetricsRegistry& metrics = *ctx.metrics;
   const std::size_t hop = u.hop;
   const std::size_t r = graph_.radix();
   const std::size_t H = graph_.hops();
   const bool last = hop + 1 == H;
   const std::size_t nodes = graph_.nodes_at(hop);
 
-  Counter& granted_ctr = metrics.counter(hop_metric(hop, "granted"));
-  Counter& stalls_ctr = metrics.counter(hop_metric(hop, "credit_stalls"));
-  Histogram& occ_hist = metrics.histogram(hop_metric(hop, "occupancy"));
-  metrics.histogram(hop_metric(hop, "latency_epochs"));
+  const EpochContext::HopSeries& series = ctx.hop[hop];
+  Counter& granted_ctr = *series.granted;
+  Counter& stalls_ctr = *series.credit_stalls;
+  Histogram& occ_hist = *series.occupancy;
 
   obs::SpanGuard alloc_span("fabric.alloc", obs::cat::kRuntime);
   alloc_span.arg("hop", hop);
-  AllocProblem problem;
+  AllocProblem& problem = ctx.problem;
   problem.ins = r;
   problem.outs = r;
-  std::vector<std::uint32_t> grants;
+  std::vector<std::uint32_t>& grants = ctx.grants;
   for (std::size_t node = 0; node < nodes; ++node) {
     problem.queued.assign(r * r, 0);
     problem.cap_in.assign(r, static_cast<std::uint32_t>(graph_.in_block()));
@@ -259,10 +332,10 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
     const sw::ConcentratorSwitch& node_switch =
         (faulted_ && hop == graph_.spec().fault_hop) ? *faulted_ : *healthy_;
     for (std::size_t d = 0; d < r; ++d) {
-      Unit::Pattern pat;
+      Unit::Pattern& pat = u.open_slot(node_switch.inputs());
       pat.node = node;
       pat.d = d;
-      BitVec valid(node_switch.inputs());
+      BitVec& valid = u.valids[u.patterns];
       for (std::size_t e = 0; e < r; ++e) {
         const std::uint32_t g = grants[e * r + d];
         for (std::uint32_t rank = 0; rank < g; ++rank) {
@@ -271,9 +344,7 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
           pat.ports.emplace_back(port, e);
         }
       }
-      if (pat.ports.empty()) continue;
-      u.meta.push_back(std::move(pat));
-      u.valids.push_back(std::move(valid));
+      if (!pat.ports.empty()) ++u.patterns;
     }
   }
 }
@@ -297,21 +368,21 @@ RouteChoice FabricSim::choose_entry(std::size_t hop, std::size_t node,
 }
 
 void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
-  rt::MetricsRegistry& metrics = *ctx.metrics;
   const std::size_t hop = u.hop;
   const std::size_t r = graph_.radix();
   const bool last = hop + 1 == graph_.hops();
   const bool hop_faulted = faulted_ && hop == graph_.spec().fault_hop;
 
-  Histogram& hop_lat = metrics.histogram(hop_metric(hop, "latency_epochs"));
-  Counter& sent_ctr = metrics.counter(hop_metric(hop, "sent"));
-  Counter& hop_delivered = metrics.counter(hop_metric(hop, "delivered"));
-  Counter& fault_drops = metrics.counter(hop_metric(hop, "dropped.fault"));
-  Counter& delivered = metrics.counter("delivered");
-  Counter& dropped = metrics.counter("dropped");
-  Histogram& latency = metrics.histogram("latency_epochs");
+  EpochContext::HopSeries& series = ctx.hop[hop];
+  Histogram& hop_lat = *series.latency;
+  Counter& sent_ctr = *series.sent;
+  Counter& hop_delivered = *series.delivered;
+  Counter& fault_drops = *series.dropped_fault;
+  Counter& delivered = *ctx.delivered;
+  Counter& dropped = *ctx.dropped;
+  Histogram& latency = *ctx.latency;
 
-  for (std::size_t i = 0; i < u.meta.size(); ++i) {
+  for (std::size_t i = 0; i < u.patterns; ++i) {
     const Unit::Pattern& pat = u.meta[i];
     const sw::SwitchRouting& routing = u.routings[i];
     for (const auto& [port, e] : pat.ports) {
@@ -360,14 +431,16 @@ void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
         Pool& down = pools_[hop + 1][ch.node * r + ch.inlink];
         const RouteChoice choice =
             choose_entry(hop + 1, ch.node, down, msg);
+        EpochContext::HopSeries& next = ctx.hop[hop + 1];
         sent_ctr.add(1);
-        metrics.counter(hop_metric(hop + 1, "accepted")).add(1);
+        next.accepted->add(1);
         if (choice.drop) {
           // Entry refusal: off every minimal path with the deflection
           // budget spent (or a last hop it can never eject from) -- the
           // accounted livelock-protection path.  No credit or pool slot is
           // consumed downstream.
-          metrics.counter(hop_metric(hop + 1, "dropped.deflect")).add(1);
+          optional_counter(ctx, next.dropped_deflect, hop + 1, "dropped.deflect")
+              .add(1);
           ++ctx.total_dropped;
           ++ctx.tally_for(u.epoch)[1];
           if (msg.measured) dropped.add(1);
@@ -377,7 +450,7 @@ void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
                     "fabric sent beyond the channel's credits");
         --credits_[hop][pat.node * r + pat.d];
         if (choice.deflected) {
-          metrics.counter(hop_metric(hop + 1, "deflections")).add(1);
+          optional_counter(ctx, next.deflections, hop + 1, "deflections").add(1);
           PCS_TRACE_COUNTER("fabric.deflections", 1);
           ++msg.deflections;
         }
@@ -389,16 +462,14 @@ void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
   }
 }
 
-void FabricSim::serve_hop_serial(std::size_t hop, std::size_t epoch,
+void FabricSim::serve_hop_serial(Unit& u, std::size_t hop, std::size_t epoch,
                                  EpochContext& ctx) {
   obs::SpanGuard hop_span("fabric.hop", obs::cat::kRuntime);
   hop_span.arg("hop", hop);
 
-  Unit u;
-  u.epoch = epoch;
-  u.hop = hop;
+  u.reset(epoch, hop);
   alloc_unit(u, ctx);
-  if (u.valids.empty()) return;
+  if (u.patterns == 0) return;
 
   // All of the hop's per-output-group patterns resolve in ONE batched
   // dispatch through the plan executor -- the fabric keeps the
@@ -409,8 +480,11 @@ void FabricSim::serve_hop_serial(std::size_t hop, std::size_t epoch,
   {
     obs::SpanGuard route_span("fabric.route", obs::cat::kRuntime);
     route_span.arg("hop", hop);
-    route_span.arg("patterns", u.valids.size());
-    u.routings = node_switch.route_batch(u.valids);
+    route_span.arg("patterns", u.patterns);
+    ctx.batch.clear();
+    u.lend_valids(ctx.batch);
+    u.routings = node_switch.route_batch(ctx.batch);
+    u.reclaim_valids(ctx.batch, 0);
     ++ctx.dispatches;
   }
 
@@ -420,9 +494,9 @@ void FabricSim::serve_hop_serial(std::size_t hop, std::size_t epoch,
 }
 
 void FabricSim::move_source_heads(std::size_t epoch, EpochContext& ctx) {
-  rt::MetricsRegistry& metrics = *ctx.metrics;
   const std::size_t r = graph_.radix();
-  Counter& hop0_accepted = metrics.counter(hop_metric(0, "accepted"));
+  EpochContext::HopSeries& hop0 = ctx.hop[0];
+  Counter& hop0_accepted = *hop0.accepted;
   // Source-queue heads enter hop 0 when its pool has a free slot: VOQ
   // occupancy gates injection just as credits gate the inner hops.
   for (std::size_t g = 0; g < graph_.sources(); ++g) {
@@ -436,7 +510,7 @@ void FabricSim::move_source_heads(std::size_t epoch, EpochContext& ctx) {
     // never be refused -- only steered (or, when starved, deflected).
     PCS_REQUIRE(!choice.drop, "route policy refused an injection");
     if (choice.deflected) {
-      metrics.counter(hop_metric(0, "deflections")).add(1);
+      optional_counter(ctx, hop0.deflections, 0, "deflections").add(1);
       PCS_TRACE_COUNTER("fabric.deflections", 1);
       ++msg.deflections;
     }
@@ -450,10 +524,9 @@ void FabricSim::move_source_heads(std::size_t epoch, EpochContext& ctx) {
 void FabricSim::admit_arrivals(std::size_t epoch, bool in_measure,
                                EpochContext& ctx, Rng& rng,
                                traffic::TrafficSource& traffic) {
-  rt::MetricsRegistry& metrics = *ctx.metrics;
-  Counter& offered = metrics.counter("offered");
-  Counter& rejected = metrics.counter("rejected_queue_full");
-  Counter& dropped = metrics.counter("dropped");
+  Counter& offered = *ctx.offered;
+  Counter& rejected = *ctx.rejected;
+  Counter& dropped = *ctx.dropped;
   const BitVec arrivals = traffic.next_valid(rng);
   for (std::size_t g = 0; g < graph_.sources(); ++g) {
     if (!arrivals.get(g)) continue;
@@ -480,7 +553,6 @@ void FabricSim::admit_arrivals(std::size_t epoch, bool in_measure,
 
 std::uint64_t FabricSim::epoch_bookkeeping(std::size_t epoch, bool in_measure,
                                            EpochContext& ctx) {
-  rt::MetricsRegistry& metrics = *ctx.metrics;
   // Fold this epoch's attributed tally into the prefix sums.  Units of
   // later epochs may already have run under the pipelined schedule; their
   // tallies stay in the ring until their own injection completes.
@@ -496,7 +568,7 @@ std::uint64_t FabricSim::epoch_bookkeeping(std::size_t epoch, bool in_measure,
   // in_flight() at this very point regardless of the schedule.
   const std::uint64_t backlog =
       ctx.total_offered - ctx.cum_delivered - ctx.cum_dropped;
-  if (in_measure) metrics.histogram("backlog").record(backlog);
+  if (in_measure) ctx.backlog->record(backlog);
   // Per-epoch conservation: nothing is created or destroyed untallied.
   // The structural identity holds between any two units on this thread.
   PCS_REQUIRE(ctx.total_offered ==
@@ -517,15 +589,28 @@ rt::RuntimeReport FabricSim::run(rt::MetricsRegistry& metrics) {
               "fabric traffic generator width must equal sources()="
                   << graph_.sources());
 
-  // Campaign-wide series exist even when zero (stable scrape key set).
-  metrics.counter("offered");
-  metrics.counter("rejected_queue_full");
-  metrics.counter("dropped");
-  metrics.histogram("backlog");
-  metrics.counter(hop_metric(0, "accepted"));
-
+  // Campaign-wide series exist even when zero (stable scrape key set), and
+  // the per-hop ones are the series epoch 0 touches on every hop.
   EpochContext ctx;
   ctx.metrics = &metrics;
+  ctx.offered = &metrics.counter("offered");
+  ctx.rejected = &metrics.counter("rejected_queue_full");
+  ctx.delivered = &metrics.counter("delivered");
+  ctx.dropped = &metrics.counter("dropped");
+  ctx.latency = &metrics.histogram("latency_epochs");
+  ctx.backlog = &metrics.histogram("backlog");
+  ctx.hop.resize(graph_.hops());
+  for (std::size_t k = 0; k < graph_.hops(); ++k) {
+    EpochContext::HopSeries& h = ctx.hop[k];
+    h.granted = &metrics.counter(hop_metric(k, "granted"));
+    h.credit_stalls = &metrics.counter(hop_metric(k, "credit_stalls"));
+    h.occupancy = &metrics.histogram(hop_metric(k, "occupancy"));
+    h.latency = &metrics.histogram(hop_metric(k, "latency_epochs"));
+    h.accepted = &metrics.counter(hop_metric(k, "accepted"));
+    h.sent = &metrics.counter(hop_metric(k, "sent"));
+    h.delivered = &metrics.counter(hop_metric(k, "delivered"));
+    h.dropped_fault = &metrics.counter(hop_metric(k, "dropped.fault"));
+  }
 
   return epochs_in_flight_ == 1 ? run_serial(metrics, ctx, rng, *traffic)
                                 : run_pipelined(metrics, ctx, rng, *traffic);
@@ -536,6 +621,7 @@ rt::RuntimeReport FabricSim::run_serial(rt::MetricsRegistry& metrics,
                                         traffic::TrafficSource& traffic) {
   const std::size_t measure_end = opts_.warmup_epochs + opts_.measure_epochs;
   rt::RuntimeReport report;
+  std::vector<Unit> units(graph_.hops());  // one per hop, recycled
   std::size_t epoch = 0;
   while (true) {
     const bool in_measure =
@@ -558,7 +644,7 @@ rt::RuntimeReport FabricSim::run_serial(rt::MetricsRegistry& metrics,
     epoch_span.arg("epoch", epoch);
 
     for (std::size_t k = graph_.hops(); k-- > 0;)
-      serve_hop_serial(k, epoch, ctx);
+      serve_hop_serial(units[k], k, epoch, ctx);
 
     move_source_heads(epoch, ctx);
     if (!in_drain) admit_arrivals(epoch, in_measure, ctx, rng, traffic);
@@ -589,7 +675,7 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
   bool stop_opening = false;
 
   std::vector<Unit> units;
-  std::vector<BitVec> batch;
+  std::vector<std::size_t> batch_at;  // units[i]'s first slot in ctx.batch
   std::vector<sw::SwitchRouting> routings;
   while (true) {
     // Open epochs: warmup/measure epochs freely up to E in flight; drain
@@ -645,12 +731,7 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
       if (strict && k >= 1 && (k >= 2 ? rc[k - 2] < e : injected < e))
         continue;
       if (units.size() <= n_units) units.emplace_back();
-      Unit& u = units[n_units++];
-      u.epoch = e;
-      u.hop = k;
-      u.meta.clear();
-      u.valids.clear();
-      u.routings.clear();
+      units[n_units++].reset(e, k);
     }
     PCS_REQUIRE(n_units > 0, "fabric pipeline made no progress");
 
@@ -665,20 +746,18 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
     // shares ONE route_batch call, widening the executor's 64-pattern word
     // lanes across epochs.  Patterns are routed independently inside the
     // batch, so the fused results are bit-identical to per-unit dispatches.
+    batch_at.resize(n_units);
     for (const bool faulted_kind : {false, true}) {
+      std::vector<BitVec>& batch = ctx.batch;
       batch.clear();
       std::size_t member_units = 0;
       for (std::size_t i = 0; i < n_units; ++i) {
         Unit& u = units[i];
-        if (u.valids.empty()) continue;
+        if (u.patterns == 0) continue;
         const bool hop_faulted = faulted_ && u.hop == graph_.spec().fault_hop;
         if (hop_faulted != faulted_kind) continue;
-        // Resolution walks u.meta + u.routings only, so the valid masks are
-        // dead after the dispatch: MOVE their words into the fused batch
-        // (the outer u.valids keeps its size -- that is the pattern count
-        // the routings slice-back below still needs).
-        batch.insert(batch.end(), std::make_move_iterator(u.valids.begin()),
-                     std::make_move_iterator(u.valids.end()));
+        batch_at[i] = batch.size();
+        u.lend_valids(batch);
         ++member_units;
       }
       if (batch.empty()) continue;
@@ -691,26 +770,26 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
         routings = node_switch.route_batch(batch);
         merged_ctr.add(1);
       }
-      std::size_t base = 0;
       for (std::size_t i = 0; i < n_units; ++i) {
         Unit& u = units[i];
-        if (u.valids.empty()) continue;
+        if (u.patterns == 0) continue;
         const bool hop_faulted = faulted_ && u.hop == graph_.spec().fault_hop;
         if (hop_faulted != faulted_kind) continue;
+        const std::size_t base = batch_at[i];
+        u.reclaim_valids(batch, base);
         u.routings.assign(
             std::make_move_iterator(routings.begin() +
                                     static_cast<std::ptrdiff_t>(base)),
             std::make_move_iterator(
                 routings.begin() +
-                static_cast<std::ptrdiff_t>(base + u.valids.size())));
-        base += u.valids.size();
+                static_cast<std::ptrdiff_t>(base + u.patterns)));
         ++ctx.dispatches;  // one logical dispatch per unit, serial parity
       }
     }
 
     for (std::size_t i = 0; i < n_units; ++i) {
       Unit& u = units[i];
-      if (!u.valids.empty()) {
+      if (u.patterns > 0) {
         obs::SpanGuard resolve_span("fabric.resolve", obs::cat::kRuntime);
         resolve_span.arg("hop", u.hop);
         resolve_span.arg("epoch", u.epoch);

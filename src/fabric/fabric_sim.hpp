@@ -147,7 +147,8 @@ class FabricSim {
 
   void alloc_unit(Unit& u, EpochContext& ctx);
   void resolve_unit(Unit& u, EpochContext& ctx);
-  void serve_hop_serial(std::size_t hop, std::size_t epoch, EpochContext& ctx);
+  void serve_hop_serial(Unit& u, std::size_t hop, std::size_t epoch,
+                        EpochContext& ctx);
   RouteChoice choose_entry(std::size_t hop, std::size_t node, const Pool& pool,
                            const Msg& msg);
   void move_source_heads(std::size_t epoch, EpochContext& ctx);
@@ -162,6 +163,9 @@ class FabricSim {
                                rt::MetricsRegistry& metrics);
 
   std::string hop_metric(std::size_t hop, const char* leaf) const;
+  /// The optional per-hop counter cached in `slot`, created on first use.
+  rt::Counter& optional_counter(EpochContext& ctx, rt::Counter*& slot,
+                                std::size_t hop, const char* leaf) const;
   std::size_t in_flight() const;
   void check_credit_mirror() const;
 

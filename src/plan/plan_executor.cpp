@@ -317,7 +317,7 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
       // The dense-prefix kernel scans columns wordwise, so it needs whole
       // valid-words per matrix column; smaller sides take the scalar kernel.
       const bool dense = plan_.fp_side >= 64;
-      parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
+      parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
         obs::SpanGuard span("plan.fastpath.revsort", obs::cat::kBatch);
         span.arg("patterns", hi - lo);
         RevsortScratch scratch(plan_.fp_side, plan_.n);
@@ -350,7 +350,7 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
     }
     case FastPathKind::kColumnsortCount: {
       const std::size_t r = plan_.fp_r, s = plan_.fp_s, n = plan_.n, m = plan_.m;
-      parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
+      parallel_for_work(valids.size(), n, [&](std::size_t lo, std::size_t hi) {
         obs::SpanGuard span("plan.fastpath.columnsort", obs::cat::kBatch);
         span.arg("patterns", hi - lo);
         ColumnsortScratch scratch(s);
@@ -378,7 +378,7 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
   }
   // Generic path: chunked scalar walks, one stage scratch per chunk so the
   // label buffers are allocated once per worker, not once per pattern.
-  parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
     StageScratch scratch;
     for (std::size_t i = lo; i < hi; ++i) {
       out[i] = route_with_scratch(valids[i], scratch);
@@ -394,12 +394,14 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
     // A full sorter always leaves the valid bits fully concentrated, so the
     // batch nearsorted bits are prefix_ones(n, count) without simulating.
     PCS_TRACE_COUNTER("plan.nearsorted.prefix_shortcut", valids.size());
-    parallel_for(0, valids.size(), [&](std::size_t i) {
-      PCS_REQUIRE(valids[i].size() == plan_.n,
-                  plan_.name << " nearsorted_batch width: pattern " << i << " of "
-                             << valids.size() << " has " << valids[i].size()
-                             << " bits, switch has n=" << plan_.n);
-      out[i] = BitVec::prefix_ones(plan_.n, valids[i].count());
+    parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        PCS_REQUIRE(valids[i].size() == plan_.n,
+                    plan_.name << " nearsorted_batch width: pattern " << i << " of "
+                               << valids.size() << " has " << valids[i].size()
+                               << " bits, switch has n=" << plan_.n);
+        out[i] = BitVec::prefix_ones(plan_.n, valids[i].count());
+      }
     });
     return out;
   }
@@ -409,7 +411,7 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
     // pad = all-ones word), re-pinned after every gather because the gather
     // recycles the position store.
     const std::size_t blocks = ceil_div(valids.size(), sortnet::LaneBatch::kLanes);
-    parallel_for(0, blocks, [&](std::size_t b) {
+    const auto run_block = [&](std::size_t b) {
       const std::size_t first = b * sortnet::LaneBatch::kLanes;
       const std::size_t count =
           std::min(sortnet::LaneBatch::kLanes, valids.size() - first);
@@ -441,10 +443,15 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
         lanes.gather(analysis_.readout.src);
       }
       lanes.store(out, first);
-    });
+    };
+    // A block routes kLanes patterns at once, so it weighs kLanes * n.
+    parallel_for_work(blocks, sortnet::LaneBatch::kLanes * plan_.n,
+                      [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t b = lo; b < hi; ++b) run_block(b);
+                      });
     return out;
   }
-  parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
     StageScratch scratch;
     for (std::size_t i = lo; i < hi; ++i) {
       const std::vector<std::int32_t> seq = run_stages(valids[i], scratch);

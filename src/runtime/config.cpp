@@ -272,15 +272,17 @@ RuntimeConfig load_config_file(const std::string& path) {
   return parse_config_text(body.str());
 }
 
-void apply_override(RuntimeConfig& cfg, const std::string& assignment) {
-  const auto eq = assignment.find('=');
-  PCS_REQUIRE(eq != std::string::npos,
-              "override is not key=value: '" << assignment << "'");
-  const std::string key = trim(assignment.substr(0, eq));
-  PCS_REQUIRE(key.find_first_of(" \t") == std::string::npos,
-              "override key '" << key << "' contains whitespace (in '"
-                               << assignment << "')");
-  set_key(cfg, key, trim(assignment.substr(eq + 1)));
+void apply_overrides(RuntimeConfig& cfg, const std::vector<std::string>& assignments) {
+  for (const std::string& assignment : assignments) {
+    const auto eq = assignment.find('=');
+    PCS_REQUIRE(eq != std::string::npos,
+                "override is not key=value: '" << assignment << "'");
+    const std::string key = trim(assignment.substr(0, eq));
+    PCS_REQUIRE(key.find_first_of(" \t") == std::string::npos,
+                "override key '" << key << "' contains whitespace (in '"
+                                 << assignment << "')");
+    set_key(cfg, key, trim(assignment.substr(eq + 1)));
+  }
   validate(cfg);
 }
 

@@ -131,11 +131,13 @@ RuntimeConfig parse_config_text(const std::string& text);
 /// parse_config_text over a file's contents; throws if unreadable.
 RuntimeConfig load_config_file(const std::string& path);
 
-/// Apply one `key=value` override (the CLI's trailing arguments).
-void apply_override(RuntimeConfig& cfg, const std::string& assignment);
+/// Apply `key=value` overrides (the CLI's trailing arguments) in order,
+/// then validate once: the settings are judged together, so "n=64 m=32"
+/// shrinks a switch just as "m=32 n=64" does.
+void apply_overrides(RuntimeConfig& cfg, const std::vector<std::string>& assignments);
 
 /// Throw ContractViolation naming the first out-of-range or unknown setting.
-/// The one check every entry point runs: parse_config_text, apply_override
+/// The one check every entry point runs: parse_config_text, apply_overrides
 /// and the daemon's per-request resolve.
 void validate(const RuntimeConfig& cfg);
 

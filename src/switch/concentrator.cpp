@@ -37,15 +37,18 @@ bool SwitchRouting::is_partial_injection() const noexcept {
 std::vector<SwitchRouting> ConcentratorSwitch::route_batch(
     const std::vector<BitVec>& valids) const {
   std::vector<SwitchRouting> out(valids.size());
-  parallel_for(0, valids.size(), [&](std::size_t i) { out[i] = route(valids[i]); });
+  parallel_for_work(valids.size(), inputs(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = route(valids[i]);
+  });
   return out;
 }
 
 std::vector<BitVec> ConcentratorSwitch::nearsorted_batch(
     const std::vector<BitVec>& valids) const {
   std::vector<BitVec> out(valids.size());
-  parallel_for(0, valids.size(),
-               [&](std::size_t i) { out[i] = nearsorted_valid_bits(valids[i]); });
+  parallel_for_work(valids.size(), inputs(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = nearsorted_valid_bits(valids[i]);
+  });
   return out;
 }
 

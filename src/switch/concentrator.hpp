@@ -58,7 +58,9 @@ class ConcentratorSwitch {
   /// Route a batch of independent setups.  Bit-for-bit identical to calling
   /// route() per pattern; concrete switches override with batched fast paths
   /// (word-parallel counting kernels, cached route plans).  The base
-  /// implementation fans the patterns out over the persistent thread pool.
+  /// implementation fans the patterns out over the persistent thread pool
+  /// in work-sized chunks (parallel_for_work): a batch smaller than one
+  /// chunk runs inline on the caller.
   virtual std::vector<SwitchRouting> route_batch(
       const std::vector<BitVec>& valids) const;
 

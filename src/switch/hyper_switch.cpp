@@ -36,7 +36,7 @@ std::vector<SwitchRouting> HyperSwitch::route_batch(
     const std::vector<BitVec>& valids) const {
   const std::size_t n = chip_.n();
   std::vector<SwitchRouting> out(valids.size());
-  parallel_for_chunks(0, valids.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for_work(valids.size(), n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const BitVec& valid = valids[i];
       PCS_REQUIRE(valid.size() == n,
@@ -68,12 +68,14 @@ std::vector<BitVec> HyperSwitch::nearsorted_batch(
     const std::vector<BitVec>& valids) const {
   const std::size_t n = chip_.n();
   std::vector<BitVec> out(valids.size());
-  parallel_for(0, valids.size(), [&](std::size_t i) {
-    PCS_REQUIRE(valids[i].size() == n,
-                "HyperSwitch::nearsorted_batch width: pattern " << i << " of "
-                << valids.size() << " has " << valids[i].size()
-                << " bits, switch has n=" << n);
-    out[i] = BitVec::prefix_ones(n, valids[i].count());
+  parallel_for_work(valids.size(), n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      PCS_REQUIRE(valids[i].size() == n,
+                  "HyperSwitch::nearsorted_batch width: pattern " << i << " of "
+                  << valids.size() << " has " << valids[i].size()
+                  << " bits, switch has n=" << n);
+      out[i] = BitVec::prefix_ones(n, valids[i].count());
+    }
   });
   return out;
 }

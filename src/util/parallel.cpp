@@ -25,6 +25,13 @@ std::size_t max_parallelism() noexcept {
   return g_max_parallelism.load(std::memory_order_relaxed);
 }
 
+std::size_t work_grain(std::size_t count, std::size_t item_work,
+                       std::size_t threads) {
+  const std::size_t per_item = std::max<std::size_t>(1, item_work);
+  const std::size_t min_items = (kMinChunkWork + per_item - 1) / per_item;
+  return std::max(min_items, count / (clamp_threads(threads) * 8));
+}
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body, std::size_t threads,
                   std::size_t grain) {

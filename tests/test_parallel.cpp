@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -149,6 +150,34 @@ TEST(ThreadPool, NestedRangesDoNotDeadlock) {
       },
       4);
   EXPECT_EQ(total.load(), std::size_t{400});
+}
+
+// A batch with less work than one chunk runs as one inline call on the
+// caller, whatever the thread count; a larger one still covers every index
+// once, in chunks of at least kMinChunkWork.
+TEST(Parallel, WorkSizedChunks) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  bool off_caller = false;
+  const std::size_t small = kMinChunkWork / 256 - 1;  // just under one chunk
+  parallel_for_work(small, 256, [&](std::size_t lo, std::size_t hi) {
+    calls.emplace_back(lo, hi);
+    off_caller = off_caller || std::this_thread::get_id() != caller;
+  }, 4);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, small));
+  EXPECT_FALSE(off_caller);
+
+  const std::size_t n = 4096;
+  const std::size_t item_work = 256;
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<std::size_t> short_chunks{0};
+  parallel_for_work(n, item_work, [&](std::size_t lo, std::size_t hi) {
+    if ((hi - lo) * item_work < kMinChunkWork && hi != n) short_chunks.fetch_add(1);
+    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  }, 4);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(short_chunks.load(), 0u);
 }
 
 TEST(ThreadPool, OversubscribedConcurrentRanges) {

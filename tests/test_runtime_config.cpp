@@ -72,7 +72,7 @@ TEST(RuntimeConfig, ExecEngineKey) {
   EXPECT_THROW(parse_config_text("exec = fused"), ContractViolation);
   EXPECT_THROW(parse_config_text("exec = legacy"), ContractViolation);
   RuntimeConfig cfg = parse_config_text("");
-  EXPECT_THROW(apply_override(cfg, "exec=fused"), ContractViolation);
+  EXPECT_THROW(apply_overrides(cfg, {"exec=fused"}), ContractViolation);
 }
 
 TEST(RuntimeConfig, RejectsMalformedInput) {
@@ -136,10 +136,29 @@ TEST(RuntimeConfig, ValidatesRanges) {
 
 TEST(RuntimeConfig, OverridesApplyAndRevalidate) {
   RuntimeConfig cfg = parse_config_text("n = 256\nm = 64");
-  apply_override(cfg, "m=128");
+  apply_overrides(cfg, {"m=128"});
   EXPECT_EQ(cfg.m, 128u);
-  EXPECT_THROW(apply_override(cfg, "m=512"), ContractViolation);  // m > n
-  EXPECT_THROW(apply_override(cfg, "no-equals-sign"), ContractViolation);
+  EXPECT_THROW(apply_overrides(cfg, {"m=512"}), ContractViolation);  // m > n
+  EXPECT_THROW(apply_overrides(cfg, {"no-equals-sign"}), ContractViolation);
+}
+
+// Regression: overrides used to be validated one key at a time, so
+// shrinking n before m ("n=64 m=32" against the default m=128) was refused
+// as "switch shape: n=64 m=128" while "m=32 n=64" ran.  The whole list is
+// judged once, after every key is applied, so the order does not matter.
+TEST(RuntimeConfig, OverridesValidateOnceAfterAllApplied) {
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"family=columnsort", "n=64", "m=32"},
+        std::vector<std::string>{"family=columnsort", "m=32", "n=64"}}) {
+    RuntimeConfig cfg;
+    apply_overrides(cfg, order);
+    EXPECT_EQ(cfg.n, 64u);
+    EXPECT_EQ(cfg.m, 32u);
+  }
+  // The final state is still validated: a shape that is bad after every
+  // override is refused whichever key comes last.
+  RuntimeConfig cfg;
+  EXPECT_THROW(apply_overrides(cfg, {"m=32", "n=16"}), ContractViolation);
 }
 
 TEST(RuntimeConfig, SplitCsvTrimsAndDropsEmpties) {
@@ -201,8 +220,7 @@ TEST(RuntimeConfig, DuplicateKeysAreLastWins) {
   EXPECT_DOUBLE_EQ(cfg.loads[0], 0.9);
   // The same rule across override repetition.
   cfg = parse_config_text("m = 64");
-  apply_override(cfg, "m=128");
-  apply_override(cfg, "m=96");
+  apply_overrides(cfg, {"m=128", "m=96"});
   EXPECT_EQ(cfg.m, 96u);
 }
 
@@ -220,10 +238,10 @@ TEST(RuntimeConfig, KeysWithWhitespaceAreRejectedNamingTheLine) {
   }
   EXPECT_THROW(parse_config_text("drain epochs max = 9"), ContractViolation);
   RuntimeConfig cfg;
-  EXPECT_THROW(apply_override(cfg, "queue depth=8"), ContractViolation);
+  EXPECT_THROW(apply_overrides(cfg, {"queue depth=8"}), ContractViolation);
   // Surrounding whitespace is trimmed as before -- only EMBEDDED
   // whitespace inside the key is a rejection.
-  apply_override(cfg, " n =512");
+  apply_overrides(cfg, {" n =512"});
   EXPECT_EQ(cfg.n, 512u);
 }
 
