@@ -34,7 +34,9 @@ namespace plan = pcs::plan;
 
 void print_artifacts() {
   pcs::bench::artifact_header("O1", "tracing build states");
-  std::printf("tracing compiled in: %s\n", obs::kCompiledIn ? "yes" : "no");
+  // Build-dependent, so it goes to stderr: stdout stays the golden table.
+  std::fprintf(stderr, "tracing compiled in: %s\n",
+               obs::kCompiledIn ? "yes" : "no");
   std::printf(
       "states measured: Disabled (gate check only), Enabled (spans+counters\n"
       "recorded and drained).  Compare Disabled here against the same\n"

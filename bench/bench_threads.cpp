@@ -28,8 +28,9 @@ namespace plan = pcs::plan;
 void print_artifacts() {
   pcs::bench::artifact_header(
       "P3", "thread-scaling sweep (set_max_parallelism 1/2/4/8)");
-  std::printf("hardware_concurrency: %u\n",
-              std::thread::hardware_concurrency());
+  // Host-dependent, so it goes to stderr: stdout stays the golden table.
+  std::fprintf(stderr, "hardware_concurrency: %u\n",
+               std::thread::hardware_concurrency());
   std::printf("(each BM_* below takes the clamp as its benchmark arg; the\n"
               " items/s series across args is the scaling curve.)\n");
 }

@@ -7,8 +7,9 @@
 // cross-checks three independent routing paths against the shared invariant
 // library (core/invariants.hpp):
 //   scalar      route() / nearsorted_valid_bits() through the PlanExecutor,
-//   batch       route_batch() / nearsorted_batch() (counting kernels,
-//               LaneBatch lanes, the AVX-512 stage split, the thread pool),
+//   batch       route_batch() / nearsorted_batch() / route_batch_mask()
+//               (counting kernels, LaneBatch lanes, the AVX-512 stage
+//               split, the thread pool),
 //   gate-level  the composed HyperCircuit realization, on small shapes,
 //   legacy      the pre-plan LabelMesh recipes (tests/legacy_reference.hpp),
 //               cross-checked against every family including faulty plans.
@@ -219,7 +220,9 @@ CaseContext pick_case(std::size_t family, Rng& rng, SwitchCache& cache) {
       break;
     }
     case 1: {  // Revsort partial concentrator
-      static constexpr std::size_t kN[] = {1, 4, 16, 64, 256, 1024};
+      // 4096 (side 64) takes the dense-prefix kernel; smaller sides the
+      // scalar one.
+      static constexpr std::size_t kN[] = {1, 4, 16, 64, 256, 1024, 4096};
       const std::size_t n = kN[rng.below(std::size(kN))];
       const std::size_t m = pick_m(n, rng);
       key << "revsort/" << n << "/" << m;

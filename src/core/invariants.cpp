@@ -166,10 +166,13 @@ bool check_batch_identity(const ConcentratorSwitch& sw,
   const std::size_t b = valids.size();
   const std::vector<SwitchRouting> routes = sw.route_batch(valids);
   const std::vector<BitVec> arrangements = sw.nearsorted_batch(valids);
-  if (routes.size() != b || arrangements.size() != b) {
+  std::vector<BitVec> routed;
+  sw.route_batch_mask(valids, routed);
+  if (routes.size() != b || arrangements.size() != b || routed.size() != b) {
     std::ostringstream os;
     os << sw.name() << ": batch of " << b << " returned " << routes.size()
-       << " routings and " << arrangements.size() << " arrangements";
+       << " routings, " << arrangements.size() << " arrangements and "
+       << routed.size() << " routed masks";
     report.add("batch-identity", os.str());
     return false;
   }
@@ -180,6 +183,15 @@ bool check_batch_identity(const ConcentratorSwitch& sw,
       std::ostringstream os;
       os << context(sw, valids[i]) << ": route_batch diverges from route() at "
          << "pattern " << i << " of batch size " << b;
+      report.add("batch-identity", os.str());
+      return false;
+    }
+    BitVec ref_routed;
+    pcs::sw::routed_inputs(ref, ref_routed);
+    if (routed[i] != ref_routed) {
+      std::ostringstream os;
+      os << context(sw, valids[i]) << ": route_batch_mask diverges from "
+         << "route() at pattern " << i << " of batch size " << b;
       report.add("batch-identity", os.str());
       return false;
     }

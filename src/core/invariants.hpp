@@ -75,7 +75,8 @@ bool check_epsilon_bound(const pcs::sw::ConcentratorSwitch& sw, const BitVec& va
                          const BitVec& arrangement, InvariantReport& report);
 
 /// route_batch and nearsorted_batch over `valids` are bit-identical to the
-/// per-pattern route / nearsorted_valid_bits calls.
+/// per-pattern route / nearsorted_valid_bits calls, and route_batch_mask's
+/// masks are route()'s output_of_input >= 0.
 bool check_batch_identity(const pcs::sw::ConcentratorSwitch& sw,
                           const std::vector<BitVec>& valids,
                           InvariantReport& report);

@@ -22,6 +22,7 @@
 // budget vectors, which only ever hold the current call's values.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,6 +56,8 @@ class Allocator {
                                std::vector<std::uint32_t>& grants) = 0;
 
   virtual const char* name() const noexcept = 0;
+  /// Return the pointer state to construction's (a new campaign).
+  virtual void reset() noexcept = 0;
 };
 
 /// Rotating-cursor round robin over the (in, out) matrix.
@@ -65,6 +68,7 @@ class RoundRobinAllocator final : public Allocator {
   std::size_t allocate(const AllocProblem& p,
                        std::vector<std::uint32_t>& grants) override;
   const char* name() const noexcept override { return "rr"; }
+  void reset() noexcept override { cursor_ = 0; }
 
  private:
   std::size_t ins_, outs_;
@@ -81,6 +85,10 @@ class ISlipAllocator final : public Allocator {
   std::size_t allocate(const AllocProblem& p,
                        std::vector<std::uint32_t>& grants) override;
   const char* name() const noexcept override { return "islip"; }
+  void reset() noexcept override {
+    std::fill(grant_ptr_.begin(), grant_ptr_.end(), 0);
+    std::fill(accept_ptr_.begin(), accept_ptr_.end(), 0);
+  }
 
  private:
   std::size_t ins_, outs_;

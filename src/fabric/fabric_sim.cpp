@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdlib>
 #include <iomanip>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -15,10 +14,6 @@
 #include "util/rng.hpp"
 
 namespace pcs::fabric {
-
-using rt::Counter;
-using rt::Gauge;
-using rt::Histogram;
 
 namespace {
 
@@ -67,23 +62,33 @@ FabricSim::FabricSim(FabricSpec spec, FabricOptions opts,
   PCS_REQUIRE(epochs_in_flight_ >= 1,
               "fabric epochs_in_flight must be >= 1");
 
-  const std::size_t H = graph_.hops();
+  // Queues and credits are campaign state: run() sizes them (reset_state),
+  // so construction stays cheap and every campaign starts empty.
   const std::size_t r = graph_.radix();
   if (policy_->reads_costs()) voq_scratch_.resize(r);
-  source_q_.resize(graph_.sources());
-  pools_.resize(H);
-  credits_.assign(H >= 1 ? H - 1 : 0, {});
-  for (std::size_t k = 0; k < H; ++k) {
-    pools_[k].resize(graph_.nodes_at(k) * r);
-    for (Pool& pool : pools_[k]) pool.voq.resize(r);
-    if (k + 1 < H) {
-      credits_[k].assign(graph_.nodes_at(k) * r,
-                         static_cast<std::uint32_t>(sp.credits));
-    }
+  for (std::size_t k = 0; k < graph_.hops(); ++k) {
     for (std::size_t node = 0; node < graph_.nodes_at(k); ++node) {
       alloc_.push_back(make_allocator(sp.alloc, r, r));
     }
   }
+}
+
+void FabricSim::reset_state() {
+  const std::size_t H = graph_.hops();
+  const std::size_t r = graph_.radix();
+  const std::size_t credits = graph_.spec().credits;
+  source_q_.reset(graph_.sources(), opts_.queue_depth);
+  hop_buf_.resize(H);
+  credits_.resize(H >= 1 ? H - 1 : 0);
+  for (std::size_t k = 0; k < H; ++k) {
+    const std::size_t pools = graph_.nodes_at(k) * r;
+    hop_buf_[k].voq.reset(pools * r, credits);
+    hop_buf_[k].occupancy.assign(pools, 0);
+    if (k + 1 < H) {
+      credits_[k].assign(pools, static_cast<std::uint32_t>(credits));
+    }
+  }
+  for (const std::unique_ptr<Allocator>& a : alloc_) a->reset();
 }
 
 std::string FabricSim::name() const {
@@ -107,9 +112,9 @@ std::string FabricSim::hop_metric(std::size_t hop, const char* leaf) const {
 
 std::size_t FabricSim::in_flight() const {
   std::size_t n = 0;
-  for (const auto& q : source_q_) n += q.size();
-  for (const auto& hop : pools_)
-    for (const Pool& pool : hop) n += pool.occupancy;
+  for (std::size_t g = 0; g < graph_.sources(); ++g) n += source_q_.size(g);
+  for (const HopBuffers& hb : hop_buf_)
+    for (const std::uint32_t occ : hb.occupancy) n += occ;
   return n;
 }
 
@@ -121,12 +126,13 @@ void FabricSim::check_credit_mirror() const {
     for (std::size_t node = 0; node < graph_.nodes_at(k); ++node) {
       for (std::size_t d = 0; d < r; ++d) {
         const FabricGraph::Channel ch = graph_.channel(k, node, d);
-        const Pool& pool = pools_[k + 1][ch.node * r + ch.inlink];
+        const std::uint32_t occupancy =
+            hop_buf_[k + 1].occupancy[ch.node * r + ch.inlink];
         const std::uint32_t credit = credits_[k][node * r + d];
-        PCS_REQUIRE(credit + pool.occupancy == graph_.spec().credits,
+        PCS_REQUIRE(credit + occupancy == graph_.spec().credits,
                     "credit mirror broken on hop " << k << " node " << node
                         << " link " << d << ": credits=" << credit
-                        << " occupancy=" << pool.occupancy << " capacity="
+                        << " occupancy=" << occupancy << " capacity="
                         << graph_.spec().credits);
       }
     }
@@ -140,61 +146,67 @@ void FabricSim::check_credit_mirror() const {
 /// is identical under every schedule -- the pipelined engine records it
 /// where the serial loop records the (then equal) structural in_flight().
 struct FabricSim::EpochContext {
-  rt::MetricsRegistry* metrics = nullptr;
   std::size_t dispatches = 0;
 
-  // Metric handles, resolved once at the start of run() so the epoch loop
-  // builds no key and takes no registry lock.  The optional series stay
-  // null until first used, so a campaign that never deflects keeps its
-  // scrape key set.
+  // Every series records into this campaign-local tally, registered once at
+  // the start of run() and folded into the caller's registry by finish_run:
+  // the epoch loop builds no key, takes no lock and touches no atomic.
+  rt::CampaignTally series;
   struct HopSeries {
-    Counter* granted = nullptr;
-    Counter* credit_stalls = nullptr;
-    Histogram* occupancy = nullptr;
-    Histogram* latency = nullptr;
-    Counter* accepted = nullptr;
-    Counter* sent = nullptr;
-    Counter* delivered = nullptr;
-    Counter* dropped_fault = nullptr;
-    Counter* deflections = nullptr;      ///< optional
-    Counter* dropped_deflect = nullptr;  ///< optional
+    std::uint64_t* granted = nullptr;
+    std::uint64_t* credit_stalls = nullptr;
+    rt::CampaignTally::Hist* occupancy = nullptr;
+    rt::CampaignTally::Hist* latency = nullptr;
+    std::uint64_t* accepted = nullptr;
+    std::uint64_t* sent = nullptr;
+    std::uint64_t* delivered = nullptr;
+    std::uint64_t* dropped_fault = nullptr;
+    // Optional series: folded only when nonzero, so a campaign that never
+    // deflects keeps its scrape key set.
+    std::uint64_t* deflections = nullptr;
+    std::uint64_t* dropped_deflect = nullptr;
   };
   std::vector<HopSeries> hop;
-  Counter* offered = nullptr;
-  Counter* rejected = nullptr;
-  Counter* delivered = nullptr;
-  Counter* dropped = nullptr;
-  Histogram* latency = nullptr;
-  Histogram* backlog = nullptr;
+  std::uint64_t* offered = nullptr;
+  std::uint64_t* rejected = nullptr;
+  std::uint64_t* delivered = nullptr;
+  std::uint64_t* dropped = nullptr;
+  rt::CampaignTally::Hist* latency = nullptr;
+  rt::CampaignTally::Hist* backlog = nullptr;
 
   // Buffers recycled across epochs: one node's allocation problem and its
-  // grants, and the masks of one route_batch dispatch.
+  // grants, the masks of one route_batch dispatch, and the routed-input
+  // masks it returns per switch kind (healthy, faulted) -- a unit's resolve
+  // reads its slice of the latter.
   AllocProblem problem;
   std::vector<std::uint32_t> grants;
   std::vector<BitVec> batch;
+  std::array<std::vector<BitVec>, 2> routed;
 
   // Whole-campaign tallies (mirrored into total.* at every epoch check).
   std::uint64_t total_offered = 0;
   std::uint64_t total_delivered = 0;
   std::uint64_t total_dropped = 0;
 
-  // Per-epoch attribution: tally[e - tally_base] = {delivered, dropped}.
-  // Folded into the cum_* prefixes when epoch e's injection completes; the
-  // ring never grows past epochs_in_flight + 1 entries.
+  // Per-epoch attribution: epoch e's {delivered, dropped} lives in
+  // epoch_tally[e % size] until epoch_bookkeeping folds it into the cum_*
+  // prefixes.  Units run at most epochs_in_flight epochs past the fold
+  // point, so a ring of epochs_in_flight + 1 entries never wraps onto a
+  // live one.
   std::size_t tally_base = 0;
-  std::deque<std::array<std::uint64_t, 2>> tally;
+  std::vector<std::array<std::uint64_t, 2>> epoch_tally;
   std::uint64_t cum_delivered = 0;
   std::uint64_t cum_dropped = 0;
 
   std::array<std::uint64_t, 2>& tally_for(std::size_t epoch) {
-    PCS_REQUIRE(epoch >= tally_base, "fabric tally for a folded epoch");
-    while (epoch - tally_base >= tally.size()) tally.push_back({0, 0});
-    return tally[epoch - tally_base];
+    PCS_REQUIRE(epoch >= tally_base && epoch - tally_base < epoch_tally.size(),
+                "fabric tally for an epoch outside the ring");
+    return epoch_tally[epoch % epoch_tally.size()];
   }
 };
 
 /// One (epoch, hop) stage: the allocator's grants as per-(node, out-link)
-/// valid-bit patterns, and the switch routings that resolve them.  Slots
+/// valid-bit patterns, and the routed-input masks that resolve them.  Slots
 /// [0, patterns) hold the live stage; every slot keeps its buffers when the
 /// unit is reset, so steady-state epochs rebuild nothing on the heap.
 struct FabricSim::Unit {
@@ -211,7 +223,8 @@ struct FabricSim::Unit {
   };
   std::vector<Pattern> meta;
   std::vector<BitVec> valids;
-  std::vector<sw::SwitchRouting> routings;
+  /// routed[i] resolves valids[i]: the unit's slice of a dispatch's masks.
+  const BitVec* routed = nullptr;
 
   void reset(std::size_t e, std::size_t k) {
     epoch = e;
@@ -246,12 +259,6 @@ struct FabricSim::Unit {
   }
 };
 
-Counter& FabricSim::optional_counter(EpochContext& ctx, Counter*& slot,
-                                    std::size_t hop, const char* leaf) const {
-  if (slot == nullptr) slot = &ctx.metrics->counter(hop_metric(hop, leaf));
-  return *slot;
-}
-
 void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
   const std::size_t hop = u.hop;
   const std::size_t r = graph_.radix();
@@ -260,9 +267,10 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
   const std::size_t nodes = graph_.nodes_at(hop);
 
   const EpochContext::HopSeries& series = ctx.hop[hop];
-  Counter& granted_ctr = *series.granted;
-  Counter& stalls_ctr = *series.credit_stalls;
-  Histogram& occ_hist = *series.occupancy;
+  std::uint64_t& granted_ctr = *series.granted;
+  std::uint64_t& stalls_ctr = *series.credit_stalls;
+  rt::CampaignTally::Hist& occ_hist = *series.occupancy;
+  const HopBuffers& hb = hop_buf_[hop];
 
   obs::SpanGuard alloc_span("fabric.alloc", obs::cat::kRuntime);
   alloc_span.arg("hop", hop);
@@ -276,10 +284,10 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
     problem.cap_out.assign(r, 0);
     bool any = false;
     for (std::size_t e = 0; e < r; ++e) {
-      const Pool& pool = pools_[hop][node * r + e];
-      occ_hist.record(pool.occupancy);
+      const std::size_t pool = node * r + e;
+      occ_hist.record(hb.occupancy[pool]);
       for (std::size_t d = 0; d < r; ++d) {
-        const std::size_t q = pool.voq[d].size();
+        const std::size_t q = hb.voq.size(pool * r + d);
         problem.queued[e * r + d] = static_cast<std::uint32_t>(q);
         if (q > 0) any = true;
       }
@@ -301,7 +309,7 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
             wants = problem.queued[e * r + d] > 0;
           }
           if (wants) {
-            stalls_ctr.add(1);
+            ++stalls_ctr;
             PCS_TRACE_COUNTER("fabric.credit_stalls", 1);
           }
         }
@@ -328,7 +336,7 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
       }
     }
     if (total == 0) continue;
-    granted_ctr.add(total);
+    granted_ctr += total;
     const sw::ConcentratorSwitch& node_switch =
         (faulted_ && hop == graph_.spec().fault_hop) ? *faulted_ : *healthy_;
     for (std::size_t d = 0; d < r; ++d) {
@@ -340,7 +348,7 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
         const std::uint32_t g = grants[e * r + d];
         for (std::uint32_t rank = 0; rank < g; ++rank) {
           const std::size_t port = e * graph_.in_block() + rank;
-          valid.set(port, true);
+          valid.mark(port);
           pat.ports.emplace_back(port, e);
         }
       }
@@ -350,7 +358,7 @@ void FabricSim::alloc_unit(Unit& u, EpochContext& ctx) {
 }
 
 RouteChoice FabricSim::choose_entry(std::size_t hop, std::size_t node,
-                                    const Pool& pool, const Msg& msg) {
+                                    std::size_t pool, const Msg& msg) {
   RouteContext rc;
   rc.hop = hop;
   rc.node = node;
@@ -360,7 +368,8 @@ RouteChoice FabricSim::choose_entry(std::size_t hop, std::size_t node,
   if (hop + 1 < graph_.hops()) rc.credits = credits_[hop].data() + node * r;
   if (policy_->reads_costs()) {
     for (std::size_t d = 0; d < r; ++d) {
-      voq_scratch_[d] = static_cast<std::uint32_t>(pool.voq[d].size());
+      voq_scratch_[d] =
+          static_cast<std::uint32_t>(hop_buf_[hop].voq.size(pool * r + d));
     }
     rc.voq_depth = voq_scratch_.data();
   }
@@ -374,42 +383,42 @@ void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
   const bool hop_faulted = faulted_ && hop == graph_.spec().fault_hop;
 
   EpochContext::HopSeries& series = ctx.hop[hop];
-  Histogram& hop_lat = *series.latency;
-  Counter& sent_ctr = *series.sent;
-  Counter& hop_delivered = *series.delivered;
-  Counter& fault_drops = *series.dropped_fault;
-  Counter& delivered = *ctx.delivered;
-  Counter& dropped = *ctx.dropped;
-  Histogram& latency = *ctx.latency;
+  rt::CampaignTally::Hist& hop_lat = *series.latency;
+  std::uint64_t& sent_ctr = *series.sent;
+  std::uint64_t& hop_delivered = *series.delivered;
+  std::uint64_t& fault_drops = *series.dropped_fault;
+  std::uint64_t& delivered = *ctx.delivered;
+  std::uint64_t& dropped = *ctx.dropped;
+  rt::CampaignTally::Hist& latency = *ctx.latency;
+  HopBuffers& hb = hop_buf_[hop];
 
   for (std::size_t i = 0; i < u.patterns; ++i) {
     const Unit::Pattern& pat = u.meta[i];
-    const sw::SwitchRouting& routing = u.routings[i];
+    const BitVec& routed = u.routed[i];
     for (const auto& [port, e] : pat.ports) {
-      Pool& pool = pools_[hop][pat.node * r + e];
-      PCS_REQUIRE(!pool.voq[pat.d].empty(),
+      const std::size_t pool = pat.node * r + e;
+      const std::size_t voq = pool * r + pat.d;
+      PCS_REQUIRE(!hb.voq.empty(voq),
                   "granted VOQ drained out from under the resolver");
-      Msg msg = pool.voq[pat.d].front();
-      pool.voq[pat.d].pop_front();
-      --pool.occupancy;
+      Msg msg = hb.voq.pop(voq);
+      --hb.occupancy[pool];
       if (hop > 0) {
         // Departing the pool frees one slot: return the credit to the one
         // upstream channel that feeds this in-link.
         const FabricGraph::Upstream up = graph_.upstream(hop, pat.node, e);
         ++credits_[hop - 1][up.node * r + up.link];
       }
-      const bool routed = routing.output_of_input[port] >= 0;
-      if (!routed) {
+      if (!routed.test(port)) {
         // Grant budgets never exceed the healthy guaranteed capacity, so an
         // unrouted grant is only legal where dead chips can eat messages.
         PCS_REQUIRE(hop_faulted,
                     "healthy hop " << hop << " failed to route a granted "
                         "message within its guaranteed capacity (node "
                         << pat.node << ", link " << pat.d << ")");
-        fault_drops.add(1);
+        ++fault_drops;
         ++ctx.total_dropped;
         ++ctx.tally_for(u.epoch)[1];
-        if (msg.measured) dropped.add(1);
+        if (msg.measured) ++dropped;
         continue;
       }
       hop_lat.record(u.epoch - msg.hop_entered);
@@ -419,44 +428,44 @@ void FabricSim::resolve_unit(Unit& u, EpochContext& ctx) {
                     "fabric misdelivery: sink " << sink << " != dest "
                         << msg.dest << " (hop " << hop << ", node "
                         << pat.node << ")");
-        hop_delivered.add(1);
+        ++hop_delivered;
         ++ctx.total_delivered;
         ++ctx.tally_for(u.epoch)[0];
         if (msg.measured) {
-          delivered.add(1);
+          ++delivered;
           latency.record(u.epoch - msg.born);
         }
       } else {
         const FabricGraph::Channel ch = graph_.channel(hop, pat.node, pat.d);
-        Pool& down = pools_[hop + 1][ch.node * r + ch.inlink];
+        const std::size_t down_pool = ch.node * r + ch.inlink;
         const RouteChoice choice =
-            choose_entry(hop + 1, ch.node, down, msg);
+            choose_entry(hop + 1, ch.node, down_pool, msg);
         EpochContext::HopSeries& next = ctx.hop[hop + 1];
-        sent_ctr.add(1);
-        next.accepted->add(1);
+        ++sent_ctr;
+        ++*next.accepted;
         if (choice.drop) {
           // Entry refusal: off every minimal path with the deflection
           // budget spent (or a last hop it can never eject from) -- the
           // accounted livelock-protection path.  No credit or pool slot is
           // consumed downstream.
-          optional_counter(ctx, next.dropped_deflect, hop + 1, "dropped.deflect")
-              .add(1);
+          ++*next.dropped_deflect;
           ++ctx.total_dropped;
           ++ctx.tally_for(u.epoch)[1];
-          if (msg.measured) dropped.add(1);
+          if (msg.measured) ++dropped;
           continue;
         }
         PCS_REQUIRE(credits_[hop][pat.node * r + pat.d] > 0,
                     "fabric sent beyond the channel's credits");
         --credits_[hop][pat.node * r + pat.d];
         if (choice.deflected) {
-          optional_counter(ctx, next.deflections, hop + 1, "deflections").add(1);
+          ++*next.deflections;
           PCS_TRACE_COUNTER("fabric.deflections", 1);
           ++msg.deflections;
         }
         msg.hop_entered = static_cast<std::uint32_t>(u.epoch);
-        down.voq[choice.link].push_back(msg);
-        ++down.occupancy;
+        HopBuffers& down = hop_buf_[hop + 1];
+        down.voq.push(down_pool * r + choice.link, msg);
+        ++down.occupancy[down_pool];
       }
     }
   }
@@ -483,8 +492,10 @@ void FabricSim::serve_hop_serial(Unit& u, std::size_t hop, std::size_t epoch,
     route_span.arg("patterns", u.patterns);
     ctx.batch.clear();
     u.lend_valids(ctx.batch);
-    u.routings = node_switch.route_batch(ctx.batch);
+    std::vector<BitVec>& routed = ctx.routed[hop_faulted ? 1 : 0];
+    node_switch.route_batch_mask(ctx.batch, routed);
     u.reclaim_valids(ctx.batch, 0);
+    u.routed = routed.data();
     ++ctx.dispatches;
   }
 
@@ -496,49 +507,47 @@ void FabricSim::serve_hop_serial(Unit& u, std::size_t hop, std::size_t epoch,
 void FabricSim::move_source_heads(std::size_t epoch, EpochContext& ctx) {
   const std::size_t r = graph_.radix();
   EpochContext::HopSeries& hop0 = ctx.hop[0];
-  Counter& hop0_accepted = *hop0.accepted;
+  HopBuffers& hb = hop_buf_[0];
   // Source-queue heads enter hop 0 when its pool has a free slot: VOQ
-  // occupancy gates injection just as credits gate the inner hops.
+  // occupancy gates injection just as credits gate the inner hops.  Source
+  // g feeds hop 0's pool g (node g / r, in-link g % r).
   for (std::size_t g = 0; g < graph_.sources(); ++g) {
-    if (source_q_[g].empty()) continue;
-    Pool& pool = pools_[0][g];  // node g / r, in-link g % r
-    if (pool.occupancy >= graph_.spec().credits) continue;
-    Msg msg = source_q_[g].front();
-    source_q_[g].pop_front();
-    const RouteChoice choice = choose_entry(0, g / r, pool, msg);
+    if (source_q_.empty(g)) continue;
+    if (hb.occupancy[g] >= graph_.spec().credits) continue;
+    Msg msg = source_q_.pop(g);
+    const RouteChoice choice = choose_entry(0, g / r, g, msg);
     // Every topology reaches every sink from hop 0, so injection can
     // never be refused -- only steered (or, when starved, deflected).
     PCS_REQUIRE(!choice.drop, "route policy refused an injection");
     if (choice.deflected) {
-      optional_counter(ctx, hop0.deflections, 0, "deflections").add(1);
+      ++*hop0.deflections;
       PCS_TRACE_COUNTER("fabric.deflections", 1);
       ++msg.deflections;
     }
     msg.hop_entered = static_cast<std::uint32_t>(epoch);
-    pool.voq[choice.link].push_back(msg);
-    ++pool.occupancy;
-    hop0_accepted.add(1);
+    hb.voq.push(g * r + choice.link, msg);
+    ++hb.occupancy[g];
+    ++*hop0.accepted;
   }
 }
 
 void FabricSim::admit_arrivals(std::size_t epoch, bool in_measure,
                                EpochContext& ctx, Rng& rng,
                                traffic::TrafficSource& traffic) {
-  Counter& offered = *ctx.offered;
-  Counter& rejected = *ctx.rejected;
-  Counter& dropped = *ctx.dropped;
+  std::uint64_t& offered = *ctx.offered;
+  std::uint64_t& rejected = *ctx.rejected;
+  std::uint64_t& dropped = *ctx.dropped;
   const BitVec arrivals = traffic.next_valid(rng);
-  for (std::size_t g = 0; g < graph_.sources(); ++g) {
-    if (!arrivals.get(g)) continue;
+  for_each_set_bit(arrivals, [&](std::size_t g) {
     ++ctx.total_offered;
-    if (in_measure) offered.add(1);
-    if (source_q_[g].size() >= opts_.queue_depth) {
+    if (in_measure) ++offered;
+    if (source_q_.full(g)) {
       // Door rejection: the bounded injection queue is full.
       ++ctx.total_dropped;
       ++ctx.tally_for(epoch)[1];
-      rejected.add(1);
-      if (in_measure) dropped.add(1);
-      continue;
+      ++rejected;
+      if (in_measure) ++dropped;
+      return;
     }
     Msg msg;
     // The destination draw happens only for accepted arrivals, after the
@@ -547,8 +556,8 @@ void FabricSim::admit_arrivals(std::size_t epoch, bool in_measure,
     msg.dest = traffic.dest_for(rng, g, graph_.sinks());
     msg.born = static_cast<std::uint32_t>(epoch);
     msg.measured = in_measure;
-    source_q_[g].push_back(msg);
-  }
+    source_q_.push(g, msg);
+  });
 }
 
 std::uint64_t FabricSim::epoch_bookkeeping(std::size_t epoch, bool in_measure,
@@ -557,11 +566,10 @@ std::uint64_t FabricSim::epoch_bookkeeping(std::size_t epoch, bool in_measure,
   // later epochs may already have run under the pipelined schedule; their
   // tallies stay in the ring until their own injection completes.
   PCS_REQUIRE(epoch == ctx.tally_base, "fabric epochs folded out of order");
-  if (!ctx.tally.empty()) {
-    ctx.cum_delivered += ctx.tally.front()[0];
-    ctx.cum_dropped += ctx.tally.front()[1];
-    ctx.tally.pop_front();
-  }
+  std::array<std::uint64_t, 2>& done = ctx.tally_for(epoch);
+  ctx.cum_delivered += done[0];
+  ctx.cum_dropped += done[1];
+  done = {0, 0};
   ++ctx.tally_base;
   // The derived backlog: offered, delivered, and dropped are all attributed
   // to epochs <= `epoch` now, so this equals the serial loop's structural
@@ -589,27 +597,35 @@ rt::RuntimeReport FabricSim::run(rt::MetricsRegistry& metrics) {
               "fabric traffic generator width must equal sources()="
                   << graph_.sources());
 
+  // Every campaign starts from empty queues, full credits and fresh
+  // allocator pointers, whatever an earlier run() left behind.
+  reset_state();
+
   // Campaign-wide series exist even when zero (stable scrape key set), and
   // the per-hop ones are the series epoch 0 touches on every hop.
   EpochContext ctx;
-  ctx.metrics = &metrics;
-  ctx.offered = &metrics.counter("offered");
-  ctx.rejected = &metrics.counter("rejected_queue_full");
-  ctx.delivered = &metrics.counter("delivered");
-  ctx.dropped = &metrics.counter("dropped");
-  ctx.latency = &metrics.histogram("latency_epochs");
-  ctx.backlog = &metrics.histogram("backlog");
+  ctx.epoch_tally.assign(epochs_in_flight_ + 1, {0, 0});
+  rt::CampaignTally& series = ctx.series;
+  ctx.offered = &series.counter("offered");
+  ctx.rejected = &series.counter("rejected_queue_full");
+  ctx.delivered = &series.counter("delivered");
+  ctx.dropped = &series.counter("dropped");
+  ctx.latency = &series.histogram("latency_epochs");
+  ctx.backlog = &series.histogram("backlog");
   ctx.hop.resize(graph_.hops());
   for (std::size_t k = 0; k < graph_.hops(); ++k) {
     EpochContext::HopSeries& h = ctx.hop[k];
-    h.granted = &metrics.counter(hop_metric(k, "granted"));
-    h.credit_stalls = &metrics.counter(hop_metric(k, "credit_stalls"));
-    h.occupancy = &metrics.histogram(hop_metric(k, "occupancy"));
-    h.latency = &metrics.histogram(hop_metric(k, "latency_epochs"));
-    h.accepted = &metrics.counter(hop_metric(k, "accepted"));
-    h.sent = &metrics.counter(hop_metric(k, "sent"));
-    h.delivered = &metrics.counter(hop_metric(k, "delivered"));
-    h.dropped_fault = &metrics.counter(hop_metric(k, "dropped.fault"));
+    h.granted = &series.counter(hop_metric(k, "granted"));
+    h.credit_stalls = &series.counter(hop_metric(k, "credit_stalls"));
+    h.occupancy = &series.histogram(hop_metric(k, "occupancy"));
+    h.latency = &series.histogram(hop_metric(k, "latency_epochs"));
+    h.accepted = &series.counter(hop_metric(k, "accepted"));
+    h.sent = &series.counter(hop_metric(k, "sent"));
+    h.delivered = &series.counter(hop_metric(k, "delivered"));
+    h.dropped_fault = &series.counter(hop_metric(k, "dropped.fault"));
+    h.deflections = &series.optional_counter(hop_metric(k, "deflections"));
+    h.dropped_deflect =
+        &series.optional_counter(hop_metric(k, "dropped.deflect"));
   }
 
   return epochs_in_flight_ == 1 ? run_serial(metrics, ctx, rng, *traffic)
@@ -662,8 +678,9 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
   const std::size_t measure_end = opts_.warmup_epochs + opts_.measure_epochs;
   rt::RuntimeReport report;
 
-  Counter& merged_ctr = metrics.counter("fabric.pipeline.dispatches");
-  Histogram& wave_hist = metrics.histogram("fabric.pipeline.wave_units");
+  std::uint64_t& merged_ctr = ctx.series.counter("fabric.pipeline.dispatches");
+  rt::CampaignTally::Hist& wave_hist =
+      ctx.series.histogram("fabric.pipeline.wave_units");
 
   // Per-hop sequence tickets: rc[k] = epochs hop k has fully resolved, so
   // hop k's next unit serves epoch rc[k].  `injected` counts epochs whose
@@ -676,7 +693,6 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
 
   std::vector<Unit> units;
   std::vector<std::size_t> batch_at;  // units[i]'s first slot in ctx.batch
-  std::vector<sw::SwitchRouting> routings;
   while (true) {
     // Open epochs: warmup/measure epochs freely up to E in flight; drain
     // epochs one at a time, each gated on the previous epoch's completion
@@ -763,12 +779,13 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
       if (batch.empty()) continue;
       const sw::ConcentratorSwitch& node_switch =
           faulted_kind ? *faulted_ : *healthy_;
+      std::vector<BitVec>& routed = ctx.routed[faulted_kind ? 1 : 0];
       {
         obs::SpanGuard route_span("fabric.route", obs::cat::kRuntime);
         route_span.arg("patterns", batch.size());
         route_span.arg("units", member_units);
-        routings = node_switch.route_batch(batch);
-        merged_ctr.add(1);
+        node_switch.route_batch_mask(batch, routed);
+        ++merged_ctr;
       }
       for (std::size_t i = 0; i < n_units; ++i) {
         Unit& u = units[i];
@@ -777,12 +794,7 @@ rt::RuntimeReport FabricSim::run_pipelined(rt::MetricsRegistry& metrics,
         if (hop_faulted != faulted_kind) continue;
         const std::size_t base = batch_at[i];
         u.reclaim_valids(batch, base);
-        u.routings.assign(
-            std::make_move_iterator(routings.begin() +
-                                    static_cast<std::ptrdiff_t>(base)),
-            std::make_move_iterator(
-                routings.begin() +
-                static_cast<std::ptrdiff_t>(base + u.patterns)));
+        u.routed = routed.data() + base;
         ++ctx.dispatches;  // one logical dispatch per unit, serial parity
       }
     }
@@ -822,41 +834,32 @@ rt::RuntimeReport FabricSim::finish_run(rt::RuntimeReport report,
   // the conservation identity (nonzero exactly when saturated).
   std::size_t residual = 0;
   std::size_t residual_measured = 0;
-  auto tally = [&](const std::deque<Msg>& q) {
-    residual += q.size();
-    for (const Msg& m : q) residual_measured += m.measured ? 1 : 0;
+  auto tally = [&](const RingQueues<Msg>& queues, std::size_t q) {
+    residual += queues.size(q);
+    for (std::size_t k = 0; k < queues.size(q); ++k) {
+      residual_measured += queues.at(q, k).measured ? 1 : 0;
+    }
   };
-  for (const auto& q : source_q_) tally(q);
-  const auto& counters = std::as_const(metrics).counters();
-  auto counter_or_zero = [&](const std::string& name) -> std::uint64_t {
-    // Read without creating: optional series (dropped.deflect) must not
-    // materialize zero-valued scrape keys on campaigns that never use them.
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second.value();
-  };
+  for (std::size_t g = 0; g < graph_.sources(); ++g) tally(source_q_, g);
+  const std::size_t r = graph_.radix();
   for (std::size_t k = 0; k < graph_.hops(); ++k) {
+    const HopBuffers& hb = hop_buf_[k];
     std::size_t hop_residual = 0;
-    for (const Pool& pool : pools_[k]) {
-      for (const auto& q : pool.voq) {
-        hop_residual += q.size();
-        tally(q);
-      }
+    for (std::size_t q = 0; q < hb.occupancy.size() * r; ++q) {
+      hop_residual += hb.voq.size(q);
+      tally(hb.voq, q);
     }
     metrics.gauge(hop_metric(k, "residual"))
         .set(static_cast<double>(hop_residual));
     // Per-hop conservation: everything a hop accepted either moved on,
     // ejected, died on a dead chip, was reclaimed off-path, or is still
     // buffered here.
-    const std::uint64_t accepted =
-        metrics.counter(hop_metric(k, "accepted")).value();
+    const EpochContext::HopSeries& h = ctx.hop[k];
     const std::uint64_t out =
-        metrics.counter(hop_metric(k, "sent")).value() +
-        metrics.counter(hop_metric(k, "delivered")).value() +
-        metrics.counter(hop_metric(k, "dropped.fault")).value() +
-        counter_or_zero(hop_metric(k, "dropped.deflect"));
-    PCS_REQUIRE(accepted == out + hop_residual,
+        *h.sent + *h.delivered + *h.dropped_fault + *h.dropped_deflect;
+    PCS_REQUIRE(*h.accepted == out + hop_residual,
                 "fabric hop " << k << " accounting broken: accepted "
-                    << accepted << " != forwarded+delivered+dropped " << out
+                    << *h.accepted << " != forwarded+delivered+dropped " << out
                     << " + residual " << hop_residual);
   }
   report.residual_backlog = residual;
@@ -870,6 +873,7 @@ rt::RuntimeReport FabricSim::finish_run(rt::RuntimeReport report,
   PCS_REQUIRE(report.drained == (residual == 0),
               "drained flag disagrees with residual " << residual);
 
+  ctx.series.fold_into(metrics);
   metrics.counter("total.offered").add(ctx.total_offered);
   metrics.counter("total.delivered").add(ctx.total_delivered);
   metrics.counter("total.dropped").add(ctx.total_dropped);
@@ -880,8 +884,10 @@ rt::RuntimeReport FabricSim::finish_run(rt::RuntimeReport report,
   metrics.counter("epochs.measure").add(opts_.measure_epochs);
   metrics.counter("epochs.drain").add(report.drain_epochs_used);
 
-  const Counter& delivered = metrics.counter("delivered");
-  const Histogram& latency = metrics.histogram("latency_epochs");
+  // Gauges read the registry, so a registry shared across campaigns reports
+  // its running totals.
+  const rt::Counter& delivered = metrics.counter("delivered");
+  const rt::Histogram& latency = metrics.histogram("latency_epochs");
   const double measured_offered =
       static_cast<double>(metrics.counter("offered").value());
   metrics.gauge("delivery_rate")

@@ -53,6 +53,15 @@
 // adaptive routing, deflected messages that exhaust their misroute budget
 // drain through fabric.hop<k>.dropped.deflect the same way.
 //
+// Steady-state epochs take no lock, no atomic and no heap allocation beyond
+// the traffic draw's BitVec: VOQs and source queues are fixed-capacity rings
+// (util/ring_queues.hpp), dispatches return routed-input masks into
+// recycled buffers (ConcentratorSwitch::route_batch_mask), and every
+// series records into a campaign-local rt::CampaignTally that run() folds
+// into the caller's registry once, at the end.  run() starts each campaign
+// from empty queues, full credits and reset allocator pointers, so one
+// simulator may run any number of campaigns.
+//
 // Conservation is enforced every epoch:
 //   total.offered == total.delivered + total.dropped + in_flight
 // and at exit with the residual backlog as an explicit term (the same
@@ -60,7 +69,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -73,6 +81,7 @@
 #include "runtime/fabric_runtime.hpp"
 #include "runtime/metrics.hpp"
 #include "switch/concentrator.hpp"
+#include "util/ring_queues.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::fabric {
@@ -130,10 +139,12 @@ class FabricSim {
     bool measured = false;
   };
 
-  /// One in-link's buffer: `radix` VOQ FIFOs sharing a `credits`-slot pool.
-  struct Pool {
-    std::vector<std::deque<Msg>> voq;
-    std::size_t occupancy = 0;
+  /// One hop's buffers.  In-link pool p = node * radix + inlink holds
+  /// `radix` VOQ rings -- queue p * radix + out-link -- that share the
+  /// pool's `credits` slots.
+  struct HopBuffers {
+    RingQueues<Msg> voq;
+    std::vector<std::uint32_t> occupancy;  ///< per pool
   };
 
   struct EpochContext;  // per-run mutable accounting (defined in .cpp)
@@ -149,7 +160,7 @@ class FabricSim {
   void resolve_unit(Unit& u, EpochContext& ctx);
   void serve_hop_serial(Unit& u, std::size_t hop, std::size_t epoch,
                         EpochContext& ctx);
-  RouteChoice choose_entry(std::size_t hop, std::size_t node, const Pool& pool,
+  RouteChoice choose_entry(std::size_t hop, std::size_t node, std::size_t pool,
                            const Msg& msg);
   void move_source_heads(std::size_t epoch, EpochContext& ctx);
   void admit_arrivals(std::size_t epoch, bool in_measure, EpochContext& ctx,
@@ -162,10 +173,9 @@ class FabricSim {
   rt::RuntimeReport finish_run(rt::RuntimeReport report, EpochContext& ctx,
                                rt::MetricsRegistry& metrics);
 
+  /// Empty every queue, refill every credit and reset every allocator.
+  void reset_state();
   std::string hop_metric(std::size_t hop, const char* leaf) const;
-  /// The optional per-hop counter cached in `slot`, created on first use.
-  rt::Counter& optional_counter(EpochContext& ctx, rt::Counter*& slot,
-                                std::size_t hop, const char* leaf) const;
   std::size_t in_flight() const;
   void check_credit_mirror() const;
 
@@ -180,9 +190,9 @@ class FabricSim {
   std::size_t epochs_in_flight_ = 1;  ///< resolved from opts / env
   std::vector<std::uint32_t> voq_scratch_;  ///< per-choice VOQ depth view
 
-  std::vector<std::deque<Msg>> source_q_;
-  /// pools_[hop][node * radix + inlink]
-  std::vector<std::vector<Pool>> pools_;
+  // Campaign state, sized and emptied by run() (reset_state).
+  RingQueues<Msg> source_q_;  ///< one ring of queue_depth per source
+  std::vector<HopBuffers> hop_buf_;
   /// credits_[hop][node * radix + link], hop < hops() - 1
   std::vector<std::vector<std::uint32_t>> credits_;
   /// alloc_[hop * nodes + node]: pointer state persists across epochs

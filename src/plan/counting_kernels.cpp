@@ -52,6 +52,17 @@ void build_ragged_offsets(const std::vector<std::uint64_t>& words,
 
 }  // namespace
 
+RoutingSink sink_for(sw::SwitchRouting& out, std::size_t n, std::size_t m) {
+  out.output_of_input.resize(n);
+  out.input_of_output.resize(m);
+  return RoutingSink{out.output_of_input.data(), out.input_of_output.data(), n, m};
+}
+
+MaskSink sink_for(BitVec& routed, std::size_t n, std::size_t) {
+  routed.reset(n);
+  return MaskSink{routed.word_data()};
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernel (any power-of-two side; the executor's choice for v < 64).
 // ---------------------------------------------------------------------------
@@ -62,15 +73,16 @@ void build_ragged_offsets(const std::vector<std::uint64_t>& words,
 // the stage-2 pin order; the barrel shifter adds rev(t) to the stage-2 rank;
 // and stage 3 ranks each destination column by ascending row, which is
 // exactly the t-ascending CSR walk.  O(n/64 + k) per pattern.
-sw::SwitchRouting revsort_route_kernel(const BitVec& valid, std::size_t m,
-                                       std::size_t v, unsigned q,
-                                       const std::vector<std::uint32_t>& rev,
-                                       RevsortScratch& s) {
+template <class Sink>
+void revsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t v,
+                          unsigned q, const std::vector<std::uint32_t>& rev,
+                          RevsortScratch& s, const Sink& out) {
   const std::size_t n = valid.size();
+  out.clear();
   s.reserve_staging(n);
-  std::fill(s.col_count.begin(), s.col_count.end(), 0u);
-  std::fill(s.row_count.begin(), s.row_count.end(), 0u);
-  std::fill(s.col3_count.begin(), s.col3_count.end(), 0u);
+  std::fill_n(s.col_count.begin(), v + 1, 0u);
+  std::fill_n(s.row_count.begin(), v, 0u);
+  std::fill_n(s.col3_count.begin(), v, 0u);
 
   // Stage 1: rank each set bit within its column (= its stage-1 output row).
   std::size_t k = 0;
@@ -102,22 +114,14 @@ sw::SwitchRouting revsort_route_kernel(const BitVec& valid, std::size_t m,
 
   // Stages 2 + 3: stage-2 rank j2 is the bucket offset; the shifter moves it
   // to column (rev(t) + j2) mod v; stage 3 ranks that column by ascending t.
-  sw::SwitchRouting out;
-  out.output_of_input.assign(n, -1);
-  out.input_of_output.assign(m, -1);
   for (std::size_t t = 0; t < v; ++t) {
     for (std::uint32_t idx = s.row_start[t]; idx < s.row_start[t + 1]; ++idx) {
       const std::uint32_t j2 = idx - s.row_start[t];
       const std::uint32_t j3 = (rev[t] + j2) & static_cast<std::uint32_t>(v - 1);
       const std::size_t pos = static_cast<std::size_t>(s.col3_count[j3]++) * v + j3;
-      if (pos < m) {
-        const std::uint32_t x = s.row_x[idx];
-        out.input_of_output[pos] = static_cast<std::int32_t>(x);
-        out.output_of_input[x] = static_cast<std::int32_t>(pos);
-      }
+      if (pos < m) out.hit(s.row_x[idx], pos);
     }
   }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -142,30 +146,20 @@ namespace {
 //  - only items at ranks >= minc are "ragged" and take the CSR + scatter
 //    path (phase C), seeded with the dense prefix's per-column fill counts.
 // At moderate densities the ragged tail is a few percent of the items, so
-// nearly all traffic is sequential and the large-n cliff disappears.
-sw::SwitchRouting revsort_route_dense_scalar(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s) {
-  const std::size_t n = valid.size();
+// nearly all traffic is sequential and the large-n cliff disappears.  The
+// mask output keeps phases A and C and skips phase B, which only serves
+// input_of_output.
+template <class Sink>
+void revsort_dense_scalar(const BitVec& valid, std::size_t m, std::size_t v,
+                          unsigned q, const std::vector<std::uint32_t>& rev,
+                          RevsortScratch& s, const Sink& out) {
   const auto& words = valid.words();
   const std::size_t wpc = v / 64;  // exact since v >= 64 and v is pow2
   std::uint32_t minc, maxc;
   build_ragged_offsets(words, v, wpc, s, minc, maxc);
-  sw::SwitchRouting out;
-  out.output_of_input.assign(n, -1);
-  out.input_of_output.resize(m);
-  std::int32_t* out_in = out.output_of_input.data();
-  std::int32_t* in_out = out.input_of_output.data();
   const std::uint32_t dense_rows = minc;
-  const std::uint32_t mrow = static_cast<std::uint32_t>(m >> q);
   const std::uint32_t vmask = static_cast<std::uint32_t>(v - 1);
-  // Ragged region of input_of_output: dense rows below m are fully written
-  // by phase B, everything after them starts empty and fills in phase C.
-  {
-    const std::size_t lo =
-        std::min<std::size_t>(static_cast<std::size_t>(dense_rows) << q, m);
-    if (m > lo) std::memset(in_out + lo, 0xFF, (m - lo) * sizeof(std::int32_t));
-  }
+  out.clear();
   std::uint16_t* cx16 = s.col_x16.data();
   std::uint32_t* cursor = s.cursor.data();
   std::uint32_t* row_x = s.row_x.data();
@@ -188,9 +182,7 @@ sw::SwitchRouting revsort_route_dense_scalar(
           cx[t] = static_cast<std::uint16_t>(xi);
           const std::size_t pos = (static_cast<std::size_t>(t) << q) |
                                   ((rev[t] + rc) & vmask);
-          if (pos < m) {
-            out_in[cbase + xi] = static_cast<std::int32_t>(pos);
-          }
+          if (pos < m) out.input(cbase + xi, pos);
         } else {
           row_x[cursor[t]++] = cbase + xi;
         }
@@ -199,30 +191,34 @@ sw::SwitchRouting revsort_route_dense_scalar(
     }
   }
   // Phase B: dense rows of input_of_output, written as whole rotated rows.
-  const std::uint32_t demit = std::min(dense_rows, mrow);
-  for (std::uint32_t t = 0; t < demit; ++t) {
-    const std::uint32_t rt = rev[t];
-    std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
-    const std::uint16_t* cxt = cx16 + t;
-    for (std::uint32_t c = 0; c < v; ++c) {
-      const std::uint32_t x =
-          (c << q) + cxt[static_cast<std::size_t>(c) * dense_rows];
-      base[(rt + c) & vmask] = static_cast<std::int32_t>(x);
-    }
-  }
-  // A dense row straddling m (only when m < dense_rows * v) emits just its
-  // below-m positions.
-  if (demit < dense_rows && (static_cast<std::size_t>(demit) << q) < m) {
-    const std::uint32_t t = demit;
-    const std::uint32_t rt = rev[t];
-    const std::size_t rowbase = static_cast<std::size_t>(t) << q;
-    for (std::uint32_t c = 0; c < v; ++c) {
-      const std::uint32_t j3 = (rt + c) & vmask;
-      const std::size_t pos = rowbase + j3;
-      if (pos < m) {
+  if constexpr (Sink::kFull) {
+    std::int32_t* in_out = out.in_out;
+    const std::uint32_t demit =
+        std::min(dense_rows, static_cast<std::uint32_t>(m >> q));
+    for (std::uint32_t t = 0; t < demit; ++t) {
+      const std::uint32_t rt = rev[t];
+      std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
+      const std::uint16_t* cxt = cx16 + t;
+      for (std::uint32_t c = 0; c < v; ++c) {
         const std::uint32_t x =
-            (c << q) + cx16[static_cast<std::size_t>(c) * dense_rows + t];
-        in_out[pos] = static_cast<std::int32_t>(x);
+            (c << q) + cxt[static_cast<std::size_t>(c) * dense_rows];
+        base[(rt + c) & vmask] = static_cast<std::int32_t>(x);
+      }
+    }
+    // A dense row straddling m (only when m < dense_rows * v) emits just its
+    // below-m positions.
+    if (demit < dense_rows && (static_cast<std::size_t>(demit) << q) < m) {
+      const std::uint32_t t = demit;
+      const std::uint32_t rt = rev[t];
+      const std::size_t rowbase = static_cast<std::size_t>(t) << q;
+      for (std::uint32_t c = 0; c < v; ++c) {
+        const std::uint32_t j3 = (rt + c) & vmask;
+        const std::size_t pos = rowbase + j3;
+        if (pos < m) {
+          const std::uint32_t x =
+              (c << q) + cx16[static_cast<std::size_t>(c) * dense_rows + t];
+          in_out[pos] = static_cast<std::int32_t>(x);
+        }
       }
     }
   }
@@ -237,14 +233,9 @@ sw::SwitchRouting revsort_route_dense_scalar(
       const std::uint32_t j3 = (rt + j2) & vmask;
       const std::size_t pos =
           (static_cast<std::size_t>(col3[j3]++) << q) | j3;
-      if (pos < m) {
-        const std::uint32_t x = row_x[idx];
-        in_out[pos] = static_cast<std::int32_t>(x);
-        out_in[x] = static_cast<std::int32_t>(pos);
-      }
+      if (pos < m) out.hit(row_x[idx], pos);
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -274,27 +265,26 @@ bool cpu_has_avx512f_impl() {
 //  - masked loads/stores fault-suppress the dead lanes, so the only slack
 //    the scratch needs is col_x16's +16 entries for the gather's 32-bit
 //    reads at the tail.
+//  - the mask output ORs each window's routed lanes (the expanded positions
+//    that are not -1) into its word, skips phase B, and sets phase C's bits
+//    from the in-range lanes.
+template <class Sink>
 __attribute__((target("avx512f")))
-sw::SwitchRouting revsort_route_dense_avx512(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s) {
-  const std::size_t n = valid.size();
+void revsort_dense_avx512(const BitVec& valid, std::size_t m, std::size_t v,
+                          unsigned q, const std::vector<std::uint32_t>& rev,
+                          RevsortScratch& s, const Sink& out) {
   const auto& words = valid.words();
   const std::size_t wpc = v / 64;
   std::uint32_t minc, maxc;
   build_ragged_offsets(words, v, wpc, s, minc, maxc);
-  sw::SwitchRouting out;
-  out.output_of_input.resize(n);  // fully written by phase A
-  out.input_of_output.resize(m);
-  std::int32_t* out_in = out.output_of_input.data();
-  std::int32_t* in_out = out.input_of_output.data();
   const std::uint32_t dense_rows = minc;
-  const std::uint32_t mrow = static_cast<std::uint32_t>(m >> q);
   // Ragged region of input_of_output (phase B covers everything below it).
-  {
+  if constexpr (Sink::kFull) {
     const std::size_t lo =
         std::min<std::size_t>(static_cast<std::size_t>(dense_rows) << q, m);
-    if (m > lo) std::memset(in_out + lo, 0xFF, (m - lo) * sizeof(std::int32_t));
+    if (m > lo) {
+      std::memset(out.in_out + lo, 0xFF, (m - lo) * sizeof(std::int32_t));
+    }
   }
 
   const __m512i iota =
@@ -321,7 +311,9 @@ sw::SwitchRouting revsort_route_dense_avx512(
         const std::uint32_t x0 = wb + 16 * h;  // intra-column window base
         const __mmask16 mk = static_cast<__mmask16>((w >> (16 * h)) & 0xFFFF);
         if (!mk) {
-          _mm512_storeu_si512(out_in + cbase + x0, vneg1);
+          if constexpr (Sink::kFull) {
+            _mm512_storeu_si512(out.out_in + cbase + x0, vneg1);
+          }
           continue;
         }
         const unsigned pc = static_cast<unsigned>(std::popcount(
@@ -362,65 +354,75 @@ sw::SwitchRouting revsort_route_dense_avx512(
         // Expand the compressed dense positions back onto their bit lanes
         // (-1 everywhere else) and store the window in one go.
         const __m512i lanes = _mm512_mask_expand_epi32(vneg1, mk, posc);
-        _mm512_storeu_si512(out_in + cbase + x0, lanes);
+        if constexpr (Sink::kFull) {
+          _mm512_storeu_si512(out.out_in + cbase + x0, lanes);
+        } else if (kd) {
+          const std::uint64_t hit = _mm512_cmpge_epi32_mask(
+              lanes, _mm512_setzero_si512());
+          out.words[(cbase + x0) >> 6] |= hit << ((cbase + x0) & 63);
+        }
         t += pc;
       }
     }
   }
 
   // Phase B: dense rows of input_of_output, whole rotated rows at a time.
-  const std::uint32_t demit = std::min(dense_rows, mrow);
-  const __m512i strided = _mm512_set1_epi32(static_cast<int>(dense_rows));
-  for (std::uint32_t t = 0; t < demit; ++t) {
-    const std::uint32_t rt = revp[t];
-    std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
-    const __m512i tv = _mm512_set1_epi32(static_cast<int>(t));
-    for (std::uint32_t c = 0; c < v; c += 16) {
-      const __m512i cv =
-          _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(c)), iota);
-      // Gather the staged offsets at col_x16[(c+k) * dense_rows + t].
-      const __m512i idx =
-          _mm512_add_epi32(_mm512_mullo_epi32(cv, strided), tv);
-      __m512i g = _mm512_i32gather_epi32(
-          idx, reinterpret_cast<const int*>(cx16), 2);
-      g = _mm512_and_si512(g, _mm512_set1_epi32(0xFFFF));
-      const __m512i xv = _mm512_add_epi32(
-          _mm512_slli_epi32(cv, static_cast<int>(q)), g);
-      const std::uint32_t j3c = (rt + c) & static_cast<std::uint32_t>(v - 1);
-      if (j3c + 16 <= v) {
-        _mm512_storeu_si512(base + j3c, xv);
-      } else {
-        const __m512i j3v = _mm512_and_si512(
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(rt + c)),
-                             iota),
-            vmaskv);
-        _mm512_i32scatter_epi32(base, j3v, xv, 4);
+  if constexpr (Sink::kFull) {
+    std::int32_t* in_out = out.in_out;
+    const std::uint32_t demit =
+        std::min(dense_rows, static_cast<std::uint32_t>(m >> q));
+    const __m512i strided = _mm512_set1_epi32(static_cast<int>(dense_rows));
+    for (std::uint32_t t = 0; t < demit; ++t) {
+      const std::uint32_t rt = revp[t];
+      std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
+      const __m512i tv = _mm512_set1_epi32(static_cast<int>(t));
+      for (std::uint32_t c = 0; c < v; c += 16) {
+        const __m512i cv =
+            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(c)), iota);
+        // Gather the staged offsets at col_x16[(c+k) * dense_rows + t].
+        const __m512i idx =
+            _mm512_add_epi32(_mm512_mullo_epi32(cv, strided), tv);
+        __m512i g = _mm512_i32gather_epi32(
+            idx, reinterpret_cast<const int*>(cx16), 2);
+        g = _mm512_and_si512(g, _mm512_set1_epi32(0xFFFF));
+        const __m512i xv = _mm512_add_epi32(
+            _mm512_slli_epi32(cv, static_cast<int>(q)), g);
+        const std::uint32_t j3c = (rt + c) & static_cast<std::uint32_t>(v - 1);
+        if (j3c + 16 <= v) {
+          _mm512_storeu_si512(base + j3c, xv);
+        } else {
+          const __m512i j3v = _mm512_and_si512(
+              _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(rt + c)),
+                               iota),
+              vmaskv);
+          _mm512_i32scatter_epi32(base, j3v, xv, 4);
+        }
       }
     }
-  }
-  // A dense row straddling m emits just its below-m positions.
-  if (demit < dense_rows && (static_cast<std::size_t>(demit) << q) < m) {
-    const std::uint32_t t = demit;
-    const std::uint32_t rt = revp[t];
-    std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
-    const __m512i lim = _mm512_set1_epi32(
-        static_cast<int>(static_cast<std::uint32_t>(m) - (t << q)));
-    const __m512i tv = _mm512_set1_epi32(static_cast<int>(t));
-    for (std::uint32_t c = 0; c < v; c += 16) {
-      const __m512i cv =
-          _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(c)), iota);
-      const __m512i idx =
-          _mm512_add_epi32(_mm512_mullo_epi32(cv, strided), tv);
-      __m512i g = _mm512_i32gather_epi32(
-          idx, reinterpret_cast<const int*>(cx16), 2);
-      g = _mm512_and_si512(g, _mm512_set1_epi32(0xFFFF));
-      const __m512i xv = _mm512_add_epi32(
-          _mm512_slli_epi32(cv, static_cast<int>(q)), g);
-      const __m512i j3v = _mm512_and_si512(
-          _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(rt + c)), iota),
-          vmaskv);
-      const __mmask16 ok = _mm512_cmplt_epu32_mask(j3v, lim);
-      _mm512_mask_i32scatter_epi32(base, ok, j3v, xv, 4);
+    // A dense row straddling m emits just its below-m positions.
+    if (demit < dense_rows && (static_cast<std::size_t>(demit) << q) < m) {
+      const std::uint32_t t = demit;
+      const std::uint32_t rt = revp[t];
+      std::int32_t* base = in_out + (static_cast<std::size_t>(t) << q);
+      const __m512i lim = _mm512_set1_epi32(
+          static_cast<int>(static_cast<std::uint32_t>(m) - (t << q)));
+      const __m512i tv = _mm512_set1_epi32(static_cast<int>(t));
+      for (std::uint32_t c = 0; c < v; c += 16) {
+        const __m512i cv =
+            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(c)), iota);
+        const __m512i idx =
+            _mm512_add_epi32(_mm512_mullo_epi32(cv, strided), tv);
+        __m512i g = _mm512_i32gather_epi32(
+            idx, reinterpret_cast<const int*>(cx16), 2);
+        g = _mm512_and_si512(g, _mm512_set1_epi32(0xFFFF));
+        const __m512i xv = _mm512_add_epi32(
+            _mm512_slli_epi32(cv, static_cast<int>(q)), g);
+        const __m512i j3v = _mm512_and_si512(
+            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(rt + c)), iota),
+            vmaskv);
+        const __mmask16 ok = _mm512_cmplt_epu32_mask(j3v, lim);
+        _mm512_mask_i32scatter_epi32(base, ok, j3v, xv, 4);
+      }
     }
   }
 
@@ -464,11 +466,16 @@ sw::SwitchRouting revsort_route_dense_avx512(
       const __m512i xv = _mm512_maskz_loadu_epi32(mt, row + j2);
       const __m512i posv = _mm512_maskz_loadu_epi32(mt, pos_buf + j2);
       const __mmask16 ok = _mm512_mask_cmplt_epu32_mask(mt, posv, vm);
-      _mm512_mask_i32scatter_epi32(in_out, ok, posv, xv, 4);
-      _mm512_mask_i32scatter_epi32(out_in, ok, xv, posv, 4);
+      if constexpr (Sink::kFull) {
+        _mm512_mask_i32scatter_epi32(out.in_out, ok, posv, xv, 4);
+        _mm512_mask_i32scatter_epi32(out.out_in, ok, xv, posv, 4);
+      } else {
+        for (unsigned lanes = ok; lanes != 0; lanes &= lanes - 1) {
+          out.input(row[j2 + static_cast<unsigned>(std::countr_zero(lanes))], 0);
+        }
+      }
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -483,15 +490,18 @@ bool cpu_has_avx512f_impl() { return false; }
 
 bool cpu_has_avx512f() { return cpu_has_avx512f_impl(); }
 
-sw::SwitchRouting revsort_route_kernel_fused(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s, bool vectorize) {
+template <class Sink>
+void revsort_route_kernel_fused(const BitVec& valid, std::size_t m,
+                                std::size_t v, unsigned q,
+                                const std::vector<std::uint32_t>& rev,
+                                RevsortScratch& s, bool vectorize,
+                                const Sink& out) {
 #ifdef PCS_REVSORT_AVX512
-  if (vectorize) return revsort_route_dense_avx512(valid, m, v, q, rev, s);
+  if (vectorize) return revsort_dense_avx512(valid, m, v, q, rev, s, out);
 #else
   (void)vectorize;
 #endif
-  return revsort_route_dense_scalar(valid, m, v, q, rev, s);
+  revsort_dense_scalar(valid, m, v, q, rev, s, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -510,17 +520,13 @@ sw::SwitchRouting revsort_route_kernel_fused(
 // boundary (x crosses multiples of r in order) and the per-column fill
 // mod s is a wrap-around counter reset at each column entry: no division
 // anywhere in the loop.
-sw::SwitchRouting columnsort_route_kernel(const BitVec& valid, std::size_t m,
-                                          std::size_t r, std::size_t s,
-                                          ColumnsortScratch& sc) {
-  const std::size_t n = valid.size();
+template <class Sink>
+void columnsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t r,
+                             std::size_t s, ColumnsortScratch& sc,
+                             const Sink& out) {
+  out.clear();
   std::size_t* next_pos = sc.next_pos.data();
   for (std::size_t j = 0; j < s; ++j) next_pos[j] = j;
-  sw::SwitchRouting out;
-  out.output_of_input.assign(n, -1);
-  out.input_of_output.assign(m, -1);
-  std::int32_t* in_out = out.input_of_output.data();
-  std::int32_t* out_in = out.output_of_input.data();
   const auto& words = valid.words();
   std::size_t col_end = r;  // exclusive end of the current column's bits
   std::size_t j2 = 0;       // current column's fill counter, mod s
@@ -537,13 +543,24 @@ sw::SwitchRouting columnsort_route_kernel(const BitVec& valid, std::size_t m,
       const std::size_t pos = next_pos[j2];
       next_pos[j2] += s;
       if (++j2 == s) j2 = 0;
-      if (pos < m) {
-        in_out[pos] = static_cast<std::int32_t>(x);
-        out_in[x] = static_cast<std::int32_t>(pos);
-      }
+      if (pos < m) out.hit(static_cast<std::uint32_t>(x), pos);
     }
   }
-  return out;
 }
+
+// Each kernel body serves both outputs.
+#define PCS_KERNEL_OUTPUTS(Sink)                                              \
+  template void revsort_route_kernel(const BitVec&, std::size_t, std::size_t, \
+                                     unsigned, const std::vector<std::uint32_t>&, \
+                                     RevsortScratch&, const Sink&);           \
+  template void revsort_route_kernel_fused(                                   \
+      const BitVec&, std::size_t, std::size_t, unsigned,                      \
+      const std::vector<std::uint32_t>&, RevsortScratch&, bool, const Sink&); \
+  template void columnsort_route_kernel(const BitVec&, std::size_t,           \
+                                        std::size_t, std::size_t,             \
+                                        ColumnsortScratch&, const Sink&);
+PCS_KERNEL_OUTPUTS(RoutingSink)
+PCS_KERNEL_OUTPUTS(MaskSink)
+#undef PCS_KERNEL_OUTPUTS
 
 }  // namespace pcs::plan

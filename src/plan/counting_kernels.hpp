@@ -29,11 +29,18 @@
 //    column-major, so the column index and the per-column fill (mod s) are
 //    running counters -- no division anywhere in the loop.
 //
+// Every kernel writes either of two outputs from one body: the full
+// SwitchRouting (both maps), or only the routed-input mask -- bit x set
+// exactly when the routing gives input x an output, which is all a campaign
+// engine reads.  The mask skips both n + m int32 tables: the dense-prefix
+// kernels drop their input_of_output row emission entirely.
+//
 // All kernels are valid only on fault-free plans (apply_chip_faults clears
 // FastPathKind) and are bit-for-bit the staged walk (differential tests
 // against legacy::run_plan in tests/legacy_reference.hpp, and the fuzzer).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -46,8 +53,9 @@ namespace pcs::plan {
 /// can run them.
 bool cpu_has_avx512f();
 
-/// Per-thread scratch for the Revsort kernels, reused across a chunk of
-/// patterns so the batch path allocates once per chunk, not per route.
+/// Per-thread scratch for the Revsort kernels.  The executor keeps one per
+/// thread across dispatches (fit() grows it to the largest side seen), so a
+/// steady-state batch allocates nothing.
 struct RevsortScratch {
   std::vector<std::uint32_t> col_count;   // stage-1 fill / count histogram
   std::vector<std::uint32_t> row_count;   // row sizes (scalar) or per-column
@@ -66,23 +74,30 @@ struct RevsortScratch {
 
   // cursor and pos_buf keep 16 lanes of slack past v for the vector
   // kernel's 16-lane blocks (which are masked, so the slack is headroom).
-  RevsortScratch(std::size_t v, std::size_t n)
-      : col_count(v + 1),
-        row_count(v),
-        row_start(v + 2),
-        cursor(v + 16),
-        col3_count(v),
-        pos_buf(v + 16),
-        row_x(n),
-        col_x16(n + 16) {}
+  // The kernels index by v and n, never by the vectors' sizes, so a scratch
+  // grown for a larger switch serves a smaller one as is.
+  void fit(std::size_t v, std::size_t n) {
+    grow(col_count, v + 1);
+    grow(row_count, v);
+    grow(row_start, v + 2);
+    grow(cursor, v + 16);
+    grow(col3_count, v);
+    grow(pos_buf, v + 16);
+    grow(row_x, n);
+    grow(col_x16, n + 16);
+  }
 
   // The label staging arrays are only used by the scalar kernel; keeping
   // them out of the dense-prefix paths trims their working set.
   void reserve_staging(std::size_t n) {
-    if (t_of.size() < n) {
-      t_of.resize(n);
-      x_of.resize(n);
-    }
+    grow(t_of, n);
+    grow(x_of, n);
+  }
+
+ private:
+  template <class T>
+  static void grow(std::vector<T>& v, std::size_t size) {
+    if (v.size() < size) v.resize(size);
   }
 };
 
@@ -90,27 +105,74 @@ struct RevsortScratch {
 struct ColumnsortScratch {
   std::vector<std::size_t> next_pos;  // next readout position per chip
 
-  explicit ColumnsortScratch(std::size_t s) : next_pos(s) {}
+  void fit(std::size_t s) {
+    if (next_pos.size() < s) next_pos.resize(s);
+  }
 };
+
+/// Kernel output: the full routing.  input() records input x's output
+/// position in output_of_input only; hit() records both directions.
+struct RoutingSink {
+  static constexpr bool kFull = true;
+  std::int32_t* out_in;  // output_of_input, n entries
+  std::int32_t* in_out;  // input_of_output, m entries
+  std::size_t n, m;
+  /// Both maps to -1, for kernels that write only the routed entries.
+  void clear() const {
+    std::fill_n(out_in, n, -1);
+    std::fill_n(in_out, m, -1);
+  }
+  void input(std::uint32_t x, std::size_t pos) const {
+    out_in[x] = static_cast<std::int32_t>(pos);
+  }
+  void hit(std::uint32_t x, std::size_t pos) const {
+    in_out[pos] = static_cast<std::int32_t>(x);
+    input(x, pos);
+  }
+};
+
+/// Kernel output: the routed-input mask alone, bit x for every routed x.
+struct MaskSink {
+  static constexpr bool kFull = false;
+  std::uint64_t* words;  // zeroed by sink_for
+  void clear() const {}
+  void input(std::uint32_t x, std::size_t) const {
+    words[x >> 6] |= std::uint64_t{1} << (x & 63);
+  }
+  void hit(std::uint32_t x, std::size_t pos) const { input(x, pos); }
+};
+
+/// A sink writing one pattern of an n-input, m-output switch into `out`:
+/// the routing's maps sized (the kernel initializes what it needs), or the
+/// mask reset to n zero bits.  Storage `out` already holds is reused.
+RoutingSink sink_for(sw::SwitchRouting& out, std::size_t n, std::size_t m);
+MaskSink sink_for(BitVec& routed, std::size_t n, std::size_t m);
+
+// Every kernel is one body templated on its sink, instantiated for
+// RoutingSink and MaskSink.
 
 /// Scalar Revsort kernel: valid for any power-of-two side v; the executor
 /// runs it for v < 64.
-sw::SwitchRouting revsort_route_kernel(const BitVec& valid, std::size_t m,
-                                       std::size_t v, unsigned q,
-                                       const std::vector<std::uint32_t>& rev,
-                                       RevsortScratch& s);
+template <class Sink>
+void revsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t v,
+                          unsigned q, const std::vector<std::uint32_t>& rev,
+                          RevsortScratch& s, const Sink& out);
 
 /// Dense-prefix Revsort kernel: requires v >= 64.  `vectorize`
 /// selects the AVX-512 inner loops (caller must have checked
 /// cpu_has_avx512f()); otherwise the scalar dense-prefix loops run.
-sw::SwitchRouting revsort_route_kernel_fused(
-    const BitVec& valid, std::size_t m, std::size_t v, unsigned q,
-    const std::vector<std::uint32_t>& rev, RevsortScratch& s, bool vectorize);
+template <class Sink>
+void revsort_route_kernel_fused(const BitVec& valid, std::size_t m,
+                                std::size_t v, unsigned q,
+                                const std::vector<std::uint32_t>& rev,
+                                RevsortScratch& s, bool vectorize,
+                                const Sink& out);
 
 /// Division-free Columnsort kernel: running column boundary and
 /// wrap-around fill counter instead of x/r and %s.
-sw::SwitchRouting columnsort_route_kernel(const BitVec& valid, std::size_t m,
-                                          std::size_t r, std::size_t s,
-                                          ColumnsortScratch& sc);
+template <class Sink>
+void columnsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t r,
+                             std::size_t s, ColumnsortScratch& sc,
+                             const Sink& out);
 
 }  // namespace pcs::plan

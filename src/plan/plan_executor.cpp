@@ -168,7 +168,24 @@ const char* intern_stage_name(const SwitchPlan& plan, const PlanStage& st,
   return obs::Tracer::instance().intern(plan.name + kind + std::to_string(idx));
 }
 
+std::size_t routed_count_of(const sw::SwitchRouting& r) { return r.routed_count(); }
+std::size_t routed_count_of(const BitVec& routed) { return routed.count(); }
+
 }  // namespace
+
+/// Kept across dispatches and grown to the largest switch the thread has
+/// routed.  A batch chunk runs start to finish on one thread and never nests
+/// another dispatch, so a chunk owns its thread's set for its whole run.
+struct PlanExecutor::ThreadScratch {
+  RevsortScratch revsort;
+  ColumnsortScratch columnsort;
+  StageScratch stage;
+};
+
+PlanExecutor::ThreadScratch& PlanExecutor::thread_scratch() {
+  thread_local ThreadScratch scratch;
+  return scratch;
+}
 
 PlanExecutor::PlanExecutor(SwitchPlan plan) : plan_(std::move(plan)) {
   plan_.validate();
@@ -207,22 +224,23 @@ PlanExecutor::PlanExecutor(SwitchPlan plan) : plan_(std::move(plan)) {
   lanes_eligible_ = plan_.safety_stages.empty() || !plan_.faults.empty();
 }
 
-std::vector<std::int32_t> PlanExecutor::run_stages(
+const std::vector<std::int32_t>& PlanExecutor::run_stages(
     const BitVec& valid, StageScratch& scratch) const {
   PCS_REQUIRE(valid.size() == plan_.n, plan_.name << " width: pattern has "
                                                   << valid.size()
                                                   << " bits, switch has n=" << plan_.n);
   std::vector<std::int32_t>& state = scratch.state;
   std::vector<std::int32_t>& next = scratch.next;
-  if (state.size() != analysis_.buf_slots) {
-    // Both buffers carry the two sentinel slots past the widest stage; the
-    // stage kernels only ever write [0, wires), so the pins survive the
-    // swaps for the whole walk (and across reuses of this scratch).
-    state.assign(analysis_.buf_slots, kIdleLabel);
-    next.assign(analysis_.buf_slots, kIdleLabel);
-    state[analysis_.pad_slot] = kPadLabel;
-    next[analysis_.pad_slot] = kPadLabel;
+  if (state.size() < analysis_.buf_slots) {
+    state.resize(analysis_.buf_slots);
+    next.resize(analysis_.buf_slots);
   }
+  // Both buffers carry this plan's two sentinel slots past its widest
+  // stage; the stage kernels only ever write [0, wires), so the pins survive
+  // the swaps for the whole walk.  A scratch shared across plans re-pins
+  // them per walk.
+  state[analysis_.idle_slot] = next[analysis_.idle_slot] = kIdleLabel;
+  state[analysis_.pad_slot] = next[analysis_.pad_slot] = kPadLabel;
   for (std::size_t x = 0; x < plan_.n; ++x) {
     state[x] = valid.get(x) ? static_cast<std::int32_t>(x) : kIdleLabel;
   }
@@ -233,8 +251,9 @@ std::vector<std::int32_t> PlanExecutor::run_stages(
     state.swap(next);
   }
   const LinkInfo& ro = analysis_.readout;
+  std::vector<std::int32_t>& seq = scratch.seq;
   auto read_out = [&] {
-    std::vector<std::int32_t> seq(plan_.n);
+    seq.resize(plan_.n);
     for (std::size_t pos = 0; pos < plan_.n; ++pos) {
       const std::int32_t v = ro.kind == GatherKind::kIdentity
                                  ? state[pos]
@@ -243,9 +262,8 @@ std::vector<std::int32_t> PlanExecutor::run_stages(
                   plan_.name << ": pad escaped the shift window at pos=" << pos);
       seq[pos] = v;
     }
-    return seq;
   };
-  std::vector<std::int32_t> seq = read_out();
+  read_out();
   if (!plan_.safety_stages.empty() && plan_.faults.empty()) {
     // Safety net: the prescribed structure always fully sorts in practice;
     // if it ever did not, finish with additional sorting phases.
@@ -262,7 +280,7 @@ std::vector<std::int32_t> PlanExecutor::run_stages(
       PCS_TRACE_COUNTER("plan.safety_iterations", 1);
       PCS_REQUIRE(extra <= plan_.safety_limit,
                   plan_.name << " failed to converge");
-      seq = read_out();
+      read_out();
     }
     extra_phases_.store(extra);
   } else if (plan_.fully_sorting && plan_.faults.empty()) {
@@ -272,19 +290,17 @@ std::vector<std::int32_t> PlanExecutor::run_stages(
   return seq;
 }
 
-sw::SwitchRouting PlanExecutor::route_with_scratch(const BitVec& valid,
-                                                   StageScratch& scratch) const {
-  const std::vector<std::int32_t> seq = run_stages(valid, scratch);
-  sw::SwitchRouting out;
-  out.output_of_input.assign(plan_.n, -1);
-  out.input_of_output.assign(plan_.m, -1);
+template <class Out>
+void PlanExecutor::route_with_scratch(const BitVec& valid, StageScratch& scratch,
+                                      Out& out) const {
+  const std::vector<std::int32_t>& seq = run_stages(valid, scratch);
+  const auto sink = sink_for(out, plan_.n, plan_.m);
+  sink.clear();
   std::uint64_t routed = 0;
   for (std::size_t pos = 0; pos < plan_.m; ++pos) {
     const std::int32_t src = seq[pos];
     if (src >= 0) {
-      out.input_of_output[pos] = src;
-      out.output_of_input[static_cast<std::size_t>(src)] =
-          static_cast<std::int32_t>(pos);
+      sink.hit(static_cast<std::uint32_t>(src), pos);
       ++routed;
     }
   }
@@ -293,25 +309,40 @@ sw::SwitchRouting PlanExecutor::route_with_scratch(const BitVec& valid,
     tracer.counter_add("plan.words_routed", routed);
     tracer.counter_add("plan.route.scalar", 1);
   }
-  return out;
 }
 
 sw::SwitchRouting PlanExecutor::route(const BitVec& valid) const {
   StageScratch scratch;
-  return route_with_scratch(valid, scratch);
+  sw::SwitchRouting out;
+  route_with_scratch(valid, scratch, out);
+  return out;
 }
 
 BitVec PlanExecutor::nearsorted_valid_bits(const BitVec& valid) const {
   StageScratch scratch;
-  const std::vector<std::int32_t> seq = run_stages(valid, scratch);
+  const std::vector<std::int32_t>& seq = run_stages(valid, scratch);
   BitVec out(plan_.n);
   for (std::size_t pos = 0; pos < plan_.n; ++pos) out.set(pos, seq[pos] >= 0);
   return out;
 }
 
-std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
-    const std::vector<BitVec>& valids) const {
-  std::vector<sw::SwitchRouting> out(valids.size());
+template <class Out>
+void PlanExecutor::route_batch_into(const std::vector<BitVec>& valids,
+                                    Out* out) const {
+  const auto require_width = [&](std::size_t i) {
+    PCS_REQUIRE(valids[i].size() == plan_.n,
+                plan_.name << " route_batch width: pattern " << i << " of "
+                           << valids.size() << " has " << valids[i].size()
+                           << " bits, switch has n=" << plan_.n);
+  };
+  const auto trace_fastpath = [&](std::size_t lo, std::size_t hi) {
+    if (!obs::Tracer::enabled()) return;
+    std::uint64_t routed = 0;
+    for (std::size_t i = lo; i < hi; ++i) routed += routed_count_of(out[i]);
+    auto& tracer = obs::Tracer::instance();
+    tracer.counter_add("plan.words_routed", routed);
+    tracer.counter_add("plan.route.fastpath", hi - lo);
+  };
   switch (plan_.fast_path) {
     case FastPathKind::kRevsortCount: {
       // The dense-prefix kernel scans columns wordwise, so it needs whole
@@ -320,71 +351,62 @@ std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
       parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
         obs::SpanGuard span("plan.fastpath.revsort", obs::cat::kBatch);
         span.arg("patterns", hi - lo);
-        RevsortScratch scratch(plan_.fp_side, plan_.n);
+        RevsortScratch& scratch = thread_scratch().revsort;
+        scratch.fit(plan_.fp_side, plan_.n);
         for (std::size_t i = lo; i < hi; ++i) {
-          PCS_REQUIRE(valids[i].size() == plan_.n,
-                      plan_.name << " route_batch width: pattern " << i << " of "
-                                 << valids.size() << " has " << valids[i].size()
-                                 << " bits, switch has n=" << plan_.n);
+          require_width(i);
+          const auto sink = sink_for(out[i], plan_.n, plan_.m);
           if (dense) {
-            out[i] = revsort_route_kernel_fused(valids[i], plan_.m,
-                                                plan_.fp_side, fp_q_,
-                                                plan_.fp_rev, scratch,
-                                                fp_vectorize_);
+            revsort_route_kernel_fused(valids[i], plan_.m, plan_.fp_side, fp_q_,
+                                       plan_.fp_rev, scratch, fp_vectorize_,
+                                       sink);
           } else {
-            out[i] = revsort_route_kernel(valids[i], plan_.m, plan_.fp_side,
-                                          fp_q_, plan_.fp_rev, scratch);
+            revsort_route_kernel(valids[i], plan_.m, plan_.fp_side, fp_q_,
+                                 plan_.fp_rev, scratch, sink);
           }
         }
-        if (obs::Tracer::enabled()) {
-          std::uint64_t routed = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (const std::int32_t v : out[i].input_of_output) routed += v >= 0;
-          }
-          auto& tracer = obs::Tracer::instance();
-          tracer.counter_add("plan.words_routed", routed);
-          tracer.counter_add("plan.route.fastpath", hi - lo);
-        }
+        trace_fastpath(lo, hi);
       });
-      return out;
+      return;
     }
     case FastPathKind::kColumnsortCount: {
-      const std::size_t r = plan_.fp_r, s = plan_.fp_s, n = plan_.n, m = plan_.m;
-      parallel_for_work(valids.size(), n, [&](std::size_t lo, std::size_t hi) {
+      parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
         obs::SpanGuard span("plan.fastpath.columnsort", obs::cat::kBatch);
         span.arg("patterns", hi - lo);
-        ColumnsortScratch scratch(s);
+        ColumnsortScratch& scratch = thread_scratch().columnsort;
+        scratch.fit(plan_.fp_s);
         for (std::size_t i = lo; i < hi; ++i) {
-          PCS_REQUIRE(valids[i].size() == n,
-                      plan_.name << " route_batch width: pattern " << i << " of "
-                                 << valids.size() << " has " << valids[i].size()
-                                 << " bits, switch has n=" << n);
-          out[i] = columnsort_route_kernel(valids[i], m, r, s, scratch);
+          require_width(i);
+          columnsort_route_kernel(valids[i], plan_.m, plan_.fp_r, plan_.fp_s,
+                                  scratch, sink_for(out[i], plan_.n, plan_.m));
         }
-        if (obs::Tracer::enabled()) {
-          std::uint64_t routed = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (const std::int32_t v : out[i].input_of_output) routed += v >= 0;
-          }
-          auto& tracer = obs::Tracer::instance();
-          tracer.counter_add("plan.words_routed", routed);
-          tracer.counter_add("plan.route.fastpath", hi - lo);
-        }
+        trace_fastpath(lo, hi);
       });
-      return out;
+      return;
     }
     case FastPathKind::kNone:
       break;
   }
-  // Generic path: chunked scalar walks, one stage scratch per chunk so the
-  // label buffers are allocated once per worker, not once per pattern.
+  // Generic path: scalar walks on the thread's stage scratch.
   parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
-    StageScratch scratch;
+    StageScratch& scratch = thread_scratch().stage;
     for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = route_with_scratch(valids[i], scratch);
+      route_with_scratch(valids[i], scratch, out[i]);
     }
   });
+}
+
+std::vector<sw::SwitchRouting> PlanExecutor::route_batch(
+    const std::vector<BitVec>& valids) const {
+  std::vector<sw::SwitchRouting> out(valids.size());
+  route_batch_into(valids, out.data());
   return out;
+}
+
+void PlanExecutor::route_batch_mask(const std::vector<BitVec>& valids,
+                                    std::vector<BitVec>& routed) const {
+  if (routed.size() < valids.size()) routed.resize(valids.size());
+  route_batch_into(valids, routed.data());
 }
 
 std::vector<BitVec> PlanExecutor::nearsorted_batch(
@@ -452,9 +474,9 @@ std::vector<BitVec> PlanExecutor::nearsorted_batch(
     return out;
   }
   parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
-    StageScratch scratch;
+    StageScratch& scratch = thread_scratch().stage;
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::vector<std::int32_t> seq = run_stages(valids[i], scratch);
+      const std::vector<std::int32_t>& seq = run_stages(valids[i], scratch);
       BitVec bits(plan_.n);
       for (std::size_t pos = 0; pos < plan_.n; ++pos) {
         bits.set(pos, seq[pos] >= 0);

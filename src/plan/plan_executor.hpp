@@ -18,13 +18,21 @@
 //                        dense-prefix kernel at matrix sides >= 64, its
 //                        scalar rank-arithmetic kernel below, Columnsort's
 //                        division-free single pass; else chunked scalar
-//                        walks with one scratch per worker chunk;
+//                        walks;
+//   route_batch_mask  -> the same dispatch and kernel bodies writing only
+//                        each pattern's routed-input mask into the caller's
+//                        recycled BitVecs (the staged walk reads it off its
+//                        readout), for the campaign engines;
 //   nearsorted_batch  -> prefix_ones for fault-free fully-sorting plans,
 //                        else the word-parallel LaneBatch pipeline reading
 //                        through the analysis tables (sentinel idle/pad
 //                        slots, so pad feeds, non-bijective links and
 //                        width-changing stages all batch), else scalar walks
 //                        for plans that might iterate their safety net.
+//
+// Kernel and walk scratch lives in one thread_local set per thread, kept
+// across dispatches: the executor itself holds no mutable routing state, so
+// one instance (a plan-cache entry) serves concurrent campaigns.
 //
 // All paths are bit-for-bit identical to the pre-plan per-family LabelMesh
 // recipes and to the two-pass interpreter legacy::run_plan, both kept as
@@ -91,6 +99,10 @@ class PlanExecutor {
   BitVec nearsorted_valid_bits(const BitVec& valid) const;
   std::vector<sw::SwitchRouting> route_batch(
       const std::vector<BitVec>& valids) const;
+  /// route_batch reduced to its routed-input masks (see
+  /// ConcentratorSwitch::route_batch_mask for the contract).
+  void route_batch_mask(const std::vector<BitVec>& valids,
+                        std::vector<BitVec>& routed) const;
   std::vector<BitVec> nearsorted_batch(const std::vector<BitVec>& valids) const;
 
   /// Safety-net iterations the last route() needed (always 0 in practice;
@@ -98,21 +110,30 @@ class PlanExecutor {
   std::size_t extra_phases_used() const noexcept { return extra_phases_.load(); }
 
  private:
-  /// Reusable per-walk label buffers, sized to the analysis' buf_slots
-  /// (sentinel idle/pad slots pinned past the widest stage).  The batch
-  /// paths carry one per worker chunk so scalar walks stop allocating per
-  /// pattern.
+  /// Reusable label buffers for one staged walk, sized to the analysis'
+  /// buf_slots (sentinel idle/pad slots pinned past the widest stage), plus
+  /// the walk's readout.
   struct StageScratch {
     std::vector<std::int32_t> state;
     std::vector<std::int32_t> next;
+    std::vector<std::int32_t> seq;  ///< the n readout labels of the last walk
   };
+  /// Every batch path's scratch for the calling thread (defined in the .cpp).
+  struct ThreadScratch;
+  static ThreadScratch& thread_scratch();
 
   /// Runs the staged pipeline (including the safety net on fault-free
-  /// plans) and returns the n labels at the readout positions.
-  std::vector<std::int32_t> run_stages(const BitVec& valid,
-                                       StageScratch& scratch) const;
-  sw::SwitchRouting route_with_scratch(const BitVec& valid,
-                                       StageScratch& scratch) const;
+  /// plans) and returns the n labels at the readout positions (scratch.seq).
+  const std::vector<std::int32_t>& run_stages(const BitVec& valid,
+                                              StageScratch& scratch) const;
+  /// One staged walk, written as a full routing or a routed-input mask (Out
+  /// is sw::SwitchRouting or BitVec, as for the counting kernels' sinks).
+  template <class Out>
+  void route_with_scratch(const BitVec& valid, StageScratch& scratch,
+                          Out& out) const;
+  /// The batch dispatch behind route_batch and route_batch_mask.
+  template <class Out>
+  void route_batch_into(const std::vector<BitVec>& valids, Out* out) const;
 
   SwitchPlan plan_;
   PlanAnalysis analysis_;

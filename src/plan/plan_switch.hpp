@@ -28,6 +28,10 @@ class PlanSwitch : public sw::ConcentratorSwitch {
       const std::vector<BitVec>& valids) const override {
     return exec_.route_batch(valids);
   }
+  void route_batch_mask(const std::vector<BitVec>& valids,
+                        std::vector<BitVec>& routed) const override {
+    exec_.route_batch_mask(valids, routed);
+  }
   std::vector<BitVec> nearsorted_batch(
       const std::vector<BitVec>& valids) const override {
     return exec_.nearsorted_batch(valids);

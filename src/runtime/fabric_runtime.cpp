@@ -1,12 +1,11 @@
 #include "runtime/fabric_runtime.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "core/invariants.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/ring_queues.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::rt {
@@ -26,19 +25,34 @@ struct QueuedMsg {
   bool measured = false;   ///< born inside the measurement window
 };
 
+/// One closed-loop replica.  Its n injection queues are rings of
+/// queue_depth slots, and `occupied` (bit i set iff input i's queue is
+/// non-empty) is kept on every push and pop, so presenting the heads is a
+/// mask copy and both admission and resolution walk set bits.
 struct Lane {
-  std::vector<std::deque<QueuedMsg>> queues;
   std::unique_ptr<traffic::TrafficSource> traffic;
   Rng rng;
+  RingQueues<QueuedMsg> queues;
+  BitVec occupied;
+  std::size_t backlog = 0;
+  std::vector<QueuedMsg> misrouted;  ///< this epoch's re-entering losers
 
-  explicit Lane(std::size_t n, std::unique_ptr<traffic::TrafficSource> src,
-                std::uint64_t seed)
-      : queues(n), traffic(std::move(src)), rng(seed) {}
+  Lane(std::size_t n, std::size_t depth,
+       std::unique_ptr<traffic::TrafficSource> src, std::uint64_t seed)
+      : traffic(std::move(src)), rng(seed), occupied(n) {
+    queues.reset(n, depth);
+  }
 
-  std::size_t backlog() const {
-    std::size_t total = 0;
-    for (const auto& q : queues) total += q.size();
-    return total;
+  void push(std::size_t i, const QueuedMsg& m) {
+    queues.push(i, m);
+    occupied.mark(i);
+    ++backlog;
+  }
+  QueuedMsg pop(std::size_t i) {
+    const QueuedMsg m = queues.pop(i);
+    if (queues.empty(i)) occupied.unmark(i);
+    --backlog;
+    return m;
   }
 };
 
@@ -76,29 +90,35 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
                 "traffic generator for lane " << l << " has width "
                                               << (gen ? gen->width() : 0)
                                               << ", switch has " << n << " inputs");
-    lanes.emplace_back(n, std::move(gen), split_seed(opts_.seed, l));
+    lanes.emplace_back(n, opts_.queue_depth, std::move(gen),
+                       split_seed(opts_.seed, l));
   }
 
-  Counter& offered = metrics.counter("offered");
-  Counter& delivered = metrics.counter("delivered");
-  Counter& dropped = metrics.counter("dropped");
-  Counter& misroute_overflow = metrics.counter("dropped.misroute_overflow");
-  Counter& rejected = metrics.counter("rejected_queue_full");
-  Counter& retries = metrics.counter("retries");
-  Counter& total_offered = metrics.counter("total.offered");
-  Counter& total_delivered = metrics.counter("total.delivered");
-  Counter& total_dropped = metrics.counter("total.dropped");
-  Counter& total_rejected = metrics.counter("total.rejected_queue_full");
-  Counter& dispatches = metrics.counter("route_batch_dispatches");
-  Histogram& latency = metrics.histogram("latency_epochs");
-  Histogram& backlog_hist = metrics.histogram("backlog");
-  Histogram& presented_hist = metrics.histogram("presented_k");
+  // Campaign-local series: the epochs record into plain integers, and the
+  // tally folds into `metrics` once, after the last epoch.
+  CampaignTally tally;
+  std::uint64_t& offered = tally.counter("offered");
+  std::uint64_t& delivered = tally.counter("delivered");
+  std::uint64_t& dropped = tally.counter("dropped");
+  std::uint64_t& misroute_overflow = tally.counter("dropped.misroute_overflow");
+  std::uint64_t& rejected = tally.counter("rejected_queue_full");
+  std::uint64_t& retries = tally.counter("retries");
+  std::uint64_t& total_offered = tally.counter("total.offered");
+  std::uint64_t& total_delivered = tally.counter("total.delivered");
+  std::uint64_t& total_dropped = tally.counter("total.dropped");
+  std::uint64_t& total_rejected = tally.counter("total.rejected_queue_full");
+  std::uint64_t& dispatches = tally.counter("route_batch_dispatches");
+  CampaignTally::Hist& latency = tally.histogram("latency_epochs");
+  CampaignTally::Hist& backlog_hist = tally.histogram("backlog");
+  CampaignTally::Hist& presented_hist = tally.histogram("presented_k");
 
   const std::size_t measure_begin = opts_.warmup_epochs;
   const std::size_t measure_end = opts_.warmup_epochs + opts_.measure_epochs;
 
   RuntimeReport report;
   std::vector<BitVec> patterns(opts_.lanes, BitVec(n));
+  std::vector<BitVec> routed;                // routed-input masks, recycled
+  std::vector<sw::SwitchRouting> routings;  // full routings, invariant checks only
   std::uint64_t epoch = 0;
 
   // One iteration = one epoch; loop covers warmup, measurement, and drain.
@@ -109,7 +129,7 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
     if (in_drain) {
       bool all_empty = true;
       for (const Lane& lane : lanes) {
-        if (lane.backlog() != 0) {
+        if (lane.backlog != 0) {
           all_empty = false;
           break;
         }
@@ -140,18 +160,17 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
       std::uint64_t stalls = 0;
       for (Lane& lane : lanes) {
         const BitVec fresh = lane.traffic->next_valid(lane.rng);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!fresh.get(i)) continue;
-          if (lane.queues[i].size() < opts_.queue_depth) {
-            lane.queues[i].push_back(QueuedMsg{epoch, in_measure});
-            total_offered.add();
-            if (in_measure) offered.add();
+        for_each_set_bit(fresh, [&](std::size_t i) {
+          if (!lane.queues.full(i)) {
+            lane.push(i, QueuedMsg{epoch, in_measure});
+            ++total_offered;
+            if (in_measure) ++offered;
           } else {
-            total_rejected.add();
-            if (in_measure) rejected.add();
+            ++total_rejected;
+            if (in_measure) ++rejected;
             ++stalls;
           }
-        }
+        });
       }
       if (stalls != 0) PCS_TRACE_COUNTER("runtime.backpressure_stalls", stalls);
     }
@@ -160,35 +179,36 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
     {
       obs::SpanGuard present_span("runtime.present", obs::cat::kRuntime);
       for (std::size_t l = 0; l < opts_.lanes; ++l) {
-        BitVec& valid = patterns[l];
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool occupied = !lanes[l].queues[i].empty();
-          valid.set(i, occupied);
-          k += occupied ? 1 : 0;
-        }
+        patterns[l] = lanes[l].occupied;
         if (in_measure) {
-          presented_hist.record(k);
-          backlog_hist.record(lanes[l].backlog());
+          presented_hist.record(patterns[l].count());
+          backlog_hist.record(lanes[l].backlog);
         }
       }
     }
 
     // The epoch's single thread-pool dispatch: all lanes at once.
-    std::vector<sw::SwitchRouting> routings;
     {
       obs::SpanGuard route_span("runtime.route", obs::cat::kRuntime);
       route_span.arg("lanes", opts_.lanes);
-      routings = sw_.route_batch(patterns);
-      dispatches.add();
+      if (opts_.check_invariants) {
+        routings = sw_.route_batch(patterns);
+        routed.resize(routings.size());
+        for (std::size_t l = 0; l < routings.size(); ++l) {
+          sw::routed_inputs(routings[l], routed[l]);
+        }
+      } else {
+        sw_.route_batch_mask(patterns, routed);
+      }
+      ++dispatches;
     }
 
     obs::SpanGuard resolve_span("runtime.resolve", obs::cat::kRuntime);
     for (std::size_t l = 0; l < opts_.lanes; ++l) {
       Lane& lane = lanes[l];
-      const sw::SwitchRouting& routing = routings[l];
 
       if (opts_.check_invariants) {
+        const sw::SwitchRouting& routing = routings[l];
         core::InvariantReport rep;
         core::check_partial_injection(sw_, patterns[l], routing, rep);
         core::check_concentration(sw_, patterns[l], routing, rep);
@@ -198,25 +218,23 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
                                        << rep.to_string());
       }
 
-      std::vector<QueuedMsg> misrouted;  // losers looking for another queue
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!patterns[l].get(i)) continue;
-        if (routing.output_of_input[i] >= 0) {
-          const QueuedMsg head = lane.queues[i].front();
-          lane.queues[i].pop_front();
-          total_delivered.add();
+      const BitVec& won = routed[l];
+      lane.misrouted.clear();  // losers looking for another queue
+      for_each_set_bit(patterns[l], [&](std::size_t i) {
+        if (won.test(i)) {
+          const QueuedMsg head = lane.pop(i);
+          ++total_delivered;
           if (head.measured) {
-            delivered.add();
+            ++delivered;
             latency.record(epoch - head.born);
           }
-          continue;
+          return;
         }
         switch (opts_.policy) {
           case CongestionPolicy::kDrop: {
-            const QueuedMsg head = lane.queues[i].front();
-            lane.queues[i].pop_front();
-            total_dropped.add();
-            if (head.measured) dropped.add();
+            const QueuedMsg head = lane.pop(i);
+            ++total_dropped;
+            if (head.measured) ++dropped;
             break;
           }
           case CongestionPolicy::kBufferRetry:
@@ -224,36 +242,34 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
             // Retries are attributed by event time (the epoch the retry
             // happens in), not the message's birth window: under sustained
             // overload the losing heads are typically warmup-born.
-            if (in_measure) retries.add();
+            if (in_measure) ++retries;
             break;
-          case CongestionPolicy::kMisrouteRetry: {
-            misrouted.push_back(lane.queues[i].front());
-            lane.queues[i].pop_front();
+          case CongestionPolicy::kMisrouteRetry:
+            lane.misrouted.push_back(lane.pop(i));
             break;
-          }
         }
-      }
+      });
 
       // Misrouted losers re-enter on a random input with queue space; with
       // every queue full the re-injection wire would stall forever, so the
       // message is dropped explicitly (and accounted).
-      for (const QueuedMsg& m : misrouted) {
+      for (const QueuedMsg& m : lane.misrouted) {
         const std::size_t start = static_cast<std::size_t>(lane.rng.below(n));
         bool placed = false;
         for (std::size_t off = 0; off < n && !placed; ++off) {
-          std::size_t w = (start + off) % n;
-          if (lane.queues[w].size() < opts_.queue_depth) {
-            lane.queues[w].push_back(m);
+          const std::size_t w = (start + off) % n;
+          if (!lane.queues.full(w)) {
+            lane.push(w, m);
             placed = true;
           }
         }
         if (placed) {
-          if (in_measure) retries.add();
+          if (in_measure) ++retries;
         } else {
-          total_dropped.add();
+          ++total_dropped;
           if (m.measured) {
-            dropped.add();
-            misroute_overflow.add();
+            ++dropped;
+            ++misroute_overflow;
           }
         }
       }
@@ -267,12 +283,31 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
   std::size_t residual = 0;
   std::size_t residual_measured = 0;
   for (const Lane& lane : lanes) {
-    for (const auto& q : lane.queues) {
-      residual += q.size();
-      for (const QueuedMsg& m : q) residual_measured += m.measured ? 1 : 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < lane.queues.size(i); ++k) {
+        residual_measured += lane.queues.at(i, k).measured ? 1 : 0;
+      }
     }
+    residual += lane.backlog;
   }
   report.residual_backlog = residual;
+
+  // Conservation: every accepted message is delivered, explicitly dropped,
+  // or still sitting in a queue -- for the whole campaign and for the
+  // measurement window alone.  Both identities hold in the drained AND the
+  // saturated exit: residual is exactly the backlog left at whichever exit
+  // was taken.
+  PCS_REQUIRE(total_offered == total_delivered + total_dropped + residual,
+              "conservation: offered=" << total_offered << " delivered="
+                                       << total_delivered << " dropped="
+                                       << total_dropped << " residual="
+                                       << residual);
+  PCS_REQUIRE(offered == delivered + dropped + residual_measured,
+              "measured conservation: offered="
+                  << offered << " delivered=" << delivered << " dropped="
+                  << dropped << " residual=" << residual_measured);
+
+  tally.fold_into(metrics);
 
   // The residual backlog is a first-class term of the conservation identity,
   // so it is exported as counters (not just report fields): a saturated
@@ -281,38 +316,22 @@ RuntimeReport FabricRuntime::run(MetricsRegistry& metrics) {
   // message at exit; `residual` only those born in the measurement window.
   metrics.counter("total.residual").add(residual);
   metrics.counter("residual").add(residual_measured);
-
-  // Conservation: every accepted message is delivered, explicitly dropped,
-  // or still sitting in a queue -- for the whole campaign and for the
-  // measurement window alone.  Both identities hold in the drained AND the
-  // saturated exit: residual is exactly the backlog left at whichever exit
-  // was taken.
-  PCS_REQUIRE(total_offered.value() ==
-                  total_delivered.value() + total_dropped.value() + residual,
-              "conservation: offered=" << total_offered.value() << " delivered="
-                                       << total_delivered.value() << " dropped="
-                                       << total_dropped.value() << " residual="
-                                       << residual);
-  PCS_REQUIRE(offered.value() ==
-                  delivered.value() + dropped.value() + residual_measured,
-              "measured conservation: offered="
-                  << offered.value() << " delivered=" << delivered.value()
-                  << " dropped=" << dropped.value() << " residual="
-                  << residual_measured);
-
   metrics.counter("epochs.warmup").add(opts_.warmup_epochs);
   metrics.counter("epochs.measure").add(opts_.measure_epochs);
   metrics.counter("epochs.drain").add(report.drain_epochs_used);
 
-  const double measured_offered = static_cast<double>(offered.value());
+  // Gauges read the registry, so a registry shared across campaigns reports
+  // its running totals.
+  const double measured_offered =
+      static_cast<double>(metrics.counter("offered").value());
+  const double measured_delivered =
+      static_cast<double>(metrics.counter("delivered").value());
   metrics.gauge("delivery_rate")
-      .set(measured_offered == 0.0
-               ? 1.0
-               : static_cast<double>(delivered.value()) / measured_offered);
-  metrics.gauge("mean_latency_epochs").set(latency.mean());
+      .set(measured_offered == 0.0 ? 1.0 : measured_delivered / measured_offered);
+  metrics.gauge("mean_latency_epochs")
+      .set(metrics.histogram("latency_epochs").mean());
   metrics.gauge("throughput_per_epoch")
-      .set(static_cast<double>(delivered.value()) /
-           static_cast<double>(opts_.measure_epochs));
+      .set(measured_delivered / static_cast<double>(opts_.measure_epochs));
   metrics.gauge("offered_load")
       .set(measured_offered /
            (static_cast<double>(opts_.lanes) *

@@ -10,10 +10,14 @@
 // The runtime serves `lanes` independent closed-loop replicas of the same
 // switch.  Each epoch, every lane contributes one valid-bit setup (the heads
 // of its non-empty queues) and all of them are resolved by a single
-// route_batch() call -- one thread-pool dispatch through PR 1's word-parallel
-// batch engine per epoch, rather than one route() per replica.  Lanes model
-// independent fabric cells behind a load balancer; batching across them is
-// what makes a sweep of long campaigns cheap.
+// route_batch_mask() call -- one dispatch through the word-parallel batch
+// engine per epoch, rather than one route() per replica, returning only the
+// routed-input masks the resolver reads.  Lanes model independent fabric
+// cells behind a load balancer; batching across them is what makes a sweep
+// of long campaigns cheap.  A steady-state epoch takes no lock and no
+// atomic and allocates only the traffic draw: queues are fixed rings, masks
+// and setups are recycled, and metrics go to a campaign-local tally folded
+// into the caller's registry at the end (DESIGN.md section 9).
 //
 // Everything is deterministic per seed: lane RNGs are split from the master
 // seed, route_batch is bit-identical to route(), and metrics export is

@@ -1,6 +1,5 @@
 #include "runtime/metrics.hpp"
 
-#include <bit>
 #include <charconv>
 #include <cmath>
 #include <sstream>
@@ -11,7 +10,7 @@ namespace pcs::rt {
 
 void Histogram::record_n(std::uint64_t value, std::uint64_t weight) {
   if (weight == 0) return;
-  const std::size_t b = value == 0 ? 0 : static_cast<std::size_t>(std::bit_width(value));
+  const std::size_t b = histogram_bucket(value);
   std::lock_guard<std::mutex> lock(mu_);
   if (buckets_.size() <= b) buckets_.resize(b + 1, 0);
   buckets_[b] += weight;
@@ -77,6 +76,37 @@ std::uint64_t Histogram::bucket_upper_bound(std::size_t b) noexcept {
   if (b == 0) return 0;
   if (b >= 64) return ~std::uint64_t{0};
   return (std::uint64_t{1} << b) - 1;
+}
+
+Histogram::Snapshot CampaignTally::Hist::snapshot() const {
+  Histogram::Snapshot s;
+  if (count_ == 0) return s;
+  std::size_t used = buckets_.size();
+  while (buckets_[used - 1] == 0) --used;
+  s.buckets.assign(buckets_.begin(), buckets_.begin() + static_cast<std::ptrdiff_t>(used));
+  s.count = count_;
+  s.sum = sum_;
+  s.min = min_;
+  s.max = max_;
+  return s;
+}
+
+std::uint64_t& CampaignTally::add_counter(std::string name, bool optional) {
+  counters_.push_back(CounterSlot{std::move(name), 0, optional});
+  return counters_.back().value;
+}
+
+CampaignTally::Hist& CampaignTally::histogram(std::string name) {
+  histograms_.emplace_back(std::move(name), Hist{});
+  return histograms_.back().second;
+}
+
+void CampaignTally::fold_into(MetricsRegistry& metrics) const {
+  for (const CounterSlot& c : counters_) {
+    if (c.optional && c.value == 0) continue;
+    metrics.counter(c.name).add(c.value);
+  }
+  for (const auto& [name, h] : histograms_) metrics.histogram(name).merge(h.snapshot());
 }
 
 std::string format_json_double(double v) {

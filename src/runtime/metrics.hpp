@@ -8,19 +8,27 @@
 // in sorted order (std::map) and doubles are printed with std::to_chars
 // shortest round-trip form, so a fixed-seed campaign can be diffed in CI.
 //
-// Thread safety: the serving daemon (src/serve) scrapes a live registry
-// while campaign threads are writing it, so every metric is safe for
-// concurrent writers plus concurrent readers.  Counters and gauges are
-// single atomics (relaxed -- they are statistics, not synchronization);
-// histograms guard their buckets with a mutex and hand readers a coherent
-// Snapshot.  Metric creation and to_json() serialize on a registry mutex;
-// references returned by counter()/gauge()/histogram() stay valid and
-// lock-free to hold.  Single-threaded runs pay one uncontended atomic or
-// lock per record and keep byte-identical JSON.
+// Two tiers:
+//  * MetricsRegistry is safe for concurrent writers plus concurrent readers:
+//    the serving daemon aggregates finished campaigns into its global
+//    registry and scrapes it from other threads.  Counters and gauges are
+//    single atomics (relaxed -- they are statistics, not synchronization);
+//    histograms guard their buckets with a mutex and hand readers a coherent
+//    Snapshot.  Metric creation and to_json() serialize on a registry mutex;
+//    references returned by counter()/gauge()/histogram() stay valid and
+//    lock-free to hold.
+//  * CampaignTally is the campaign engines' write side: plain integers and
+//    lock-free histograms owned by the one thread running the campaign,
+//    folded into the caller's registry once when the campaign ends.  An
+//    epoch therefore takes no lock and no atomic for its metrics, and the
+//    registry JSON is byte-identical to recording every event directly.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -53,10 +61,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Histogram over nonnegative integer samples with logarithmic buckets:
-/// bucket 0 holds the value 0, bucket b >= 1 holds [2^(b-1), 2^b - 1], so a
-/// latency or occupancy distribution of any range fits in ~64 buckets while
-/// keeping exact count, sum, min, and max.
+/// The log2 bucket of `value`: bucket 0 holds the value 0, bucket b >= 1
+/// holds [2^(b-1), 2^b - 1].  Histogram and CampaignTally::Hist share it.
+inline std::size_t histogram_bucket(std::uint64_t value) noexcept {
+  return static_cast<std::size_t>(std::bit_width(value));
+}
+
+/// Histogram over nonnegative integer samples with logarithmic buckets
+/// (histogram_bucket), so a latency or occupancy distribution of any range
+/// fits in 65 buckets while keeping exact count, sum, min, and max.
 class Histogram {
  public:
   /// A coherent copy of the histogram's state, taken under the lock; the
@@ -156,6 +169,61 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// Campaign-local metrics with no synchronization (see the header comment).
+/// An engine registers its series once at campaign start, keeps the
+/// returned references, records from its one thread, and calls fold_into()
+/// once at the end.  Registration allocates; recording never does.
+class CampaignTally {
+ public:
+  /// A histogram with Histogram's buckets, for one writer and no lock.
+  class Hist {
+   public:
+    void record(std::uint64_t value) noexcept {
+      ++buckets_[histogram_bucket(value)];
+      if (count_ == 0 || value < min_) min_ = value;
+      if (value > max_) max_ = value;
+      ++count_;
+      sum_ += value;
+    }
+    /// What Histogram would hold after the same records: buckets up to the
+    /// highest occupied one.
+    Histogram::Snapshot snapshot() const;
+
+   private:
+    std::array<std::uint64_t, 65> buckets_{};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = 0;
+    std::uint64_t max_ = 0;
+  };
+
+  /// A counter folded into the registry as `name`, which the fold creates
+  /// even when the count is zero (a stable scrape key set).
+  std::uint64_t& counter(std::string name) { return add_counter(std::move(name), false); }
+  /// A counter folded only when nonzero: an optional series (deflections)
+  /// appears in the registry only on campaigns that use it.
+  std::uint64_t& optional_counter(std::string name) {
+    return add_counter(std::move(name), true);
+  }
+  /// A histogram folded as `name` (created even when empty).
+  Hist& histogram(std::string name);
+
+  /// Add every counter to, and merge every histogram into, `metrics`.
+  void fold_into(MetricsRegistry& metrics) const;
+
+ private:
+  std::uint64_t& add_counter(std::string name, bool optional);
+
+  struct CounterSlot {
+    std::string name;
+    std::uint64_t value = 0;
+    bool optional = false;
+  };
+  // Deques keep the references handed out stable as series are added.
+  std::deque<CounterSlot> counters_;
+  std::deque<std::pair<std::string, Hist>> histograms_;
 };
 
 /// `v` rendered for JSON: shortest round-trip decimal via std::to_chars,

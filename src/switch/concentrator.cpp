@@ -43,6 +43,22 @@ std::vector<SwitchRouting> ConcentratorSwitch::route_batch(
   return out;
 }
 
+void ConcentratorSwitch::route_batch_mask(const std::vector<BitVec>& valids,
+                                          std::vector<BitVec>& routed) const {
+  const std::vector<SwitchRouting> routings = route_batch(valids);
+  if (routed.size() < routings.size()) routed.resize(routings.size());
+  for (std::size_t i = 0; i < routings.size(); ++i) {
+    routed_inputs(routings[i], routed[i]);
+  }
+}
+
+void routed_inputs(const SwitchRouting& routing, BitVec& routed) {
+  routed.reset(routing.output_of_input.size());
+  for (std::size_t x = 0; x < routing.output_of_input.size(); ++x) {
+    if (routing.output_of_input[x] >= 0) routed.set(x, true);
+  }
+}
+
 std::vector<BitVec> ConcentratorSwitch::nearsorted_batch(
     const std::vector<BitVec>& valids) const {
   std::vector<BitVec> out(valids.size());

@@ -64,6 +64,17 @@ class ConcentratorSwitch {
   virtual std::vector<SwitchRouting> route_batch(
       const std::vector<BitVec>& valids) const;
 
+  /// route_batch reduced to what a campaign engine reads: routed[i], for
+  /// every i < valids.size(), becomes an inputs()-bit mask with bit x set
+  /// exactly when route(valids[i]).output_of_input[x] >= 0.  `routed` only
+  /// ever grows, and masks past the batch keep their storage, so a caller
+  /// recycling one vector across dispatches of varying size allocates
+  /// nothing once it has seen its largest batch.  The base implementation
+  /// reads the masks off route_batch(); plan switches fill them from the
+  /// same kernels without building a SwitchRouting.
+  virtual void route_batch_mask(const std::vector<BitVec>& valids,
+                                std::vector<BitVec>& routed) const;
+
   /// nearsorted_valid_bits() for a batch of patterns.  Overrides carry 64
   /// patterns per machine word through the sorting substrates (LaneBatch).
   virtual std::vector<BitVec> nearsorted_batch(
@@ -85,6 +96,10 @@ class ConcentratorSwitch {
   /// floor(alpha * m) = m - epsilon_bound (when nonnegative).
   std::size_t guaranteed_capacity() const;
 };
+
+/// `routed` becomes routing.output_of_input's routed-input mask: bit x set
+/// exactly when input x has an output.
+void routed_inputs(const SwitchRouting& routing, BitVec& routed);
 
 /// Check the partial-concentration contract (the two bullet properties of
 /// Section 1) for one routing produced from `valid`:

@@ -13,6 +13,18 @@ void require_rates(const std::vector<double>& rates, const char* what) {
   }
 }
 
+/// One Bernoulli bit per wire in ascending order, packed straight into
+/// words.  `draw(i)` is wire i's trial and must consume exactly the raw
+/// draws Rng::chance would, which keeps the pinned streams.
+template <class Draw>
+BitVec draw_bits(std::size_t width, Draw&& draw) {
+  std::vector<std::uint64_t> words((width + 63) / 64, 0);
+  for (std::size_t i = 0; i < width; ++i) {
+    words[i >> 6] |= static_cast<std::uint64_t>(draw(i)) << (i & 63);
+  }
+  return BitVec::from_words(std::move(words), width);
+}
+
 }  // namespace
 
 BernoulliProcess::BernoulliProcess(std::size_t width, double p)
@@ -36,11 +48,10 @@ BitVec BernoulliProcess::next(Rng& rng) {
   // The per-bit loop in ascending index order draws exactly the uniforms
   // Rng::bernoulli_bits(width, p) would, so flat profiles stay bit-identical
   // with the pinned arrival=bernoulli stream.
-  BitVec out(width_);
-  for (std::size_t i = 0; i < width_; ++i) {
-    out.set(i, rng.chance(rates_[i]));
-  }
-  return out;
+  // Rates were range-checked at construction, so each wire's trial is
+  // chance()'s comparison without its per-call check.
+  return draw_bits(width_,
+                   [&](std::size_t i) { return rng.uniform01() < rates_[i]; });
 }
 
 std::string BernoulliProcess::name() const {
@@ -74,16 +85,14 @@ OnOffProcess::OnOffProcess(std::vector<double> p_on, std::vector<double> p_off,
 }
 
 BitVec OnOffProcess::next(Rng& rng) {
-  BitVec out(width_);
-  for (std::size_t i = 0; i < width_; ++i) {
+  return draw_bits(width_, [&](std::size_t i) {
     if (state_on_[i]) {
-      if (rng.chance(on_to_off_)) state_on_[i] = false;
+      if (rng.uniform01() < on_to_off_) state_on_[i] = false;
     } else {
-      if (rng.chance(off_to_on_)) state_on_[i] = true;
+      if (rng.uniform01() < off_to_on_) state_on_[i] = true;
     }
-    out.set(i, rng.chance(state_on_[i] ? p_on_[i] : p_off_[i]));
-  }
-  return out;
+    return rng.uniform01() < (state_on_[i] ? p_on_[i] : p_off_[i]);
+  });
 }
 
 std::string OnOffProcess::name() const {

@@ -111,6 +111,11 @@ void BitVec::fill(bool value) noexcept {
   clear_tail();
 }
 
+void BitVec::reset(std::size_t n) {
+  words_.assign(ceil_div(n, kWordBits), 0);
+  size_ = n;
+}
+
 void BitVec::push_back(bool value) {
   if (size_ % kWordBits == 0) words_.push_back(0);
   ++size_;

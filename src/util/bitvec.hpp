@@ -7,6 +7,7 @@
 // the type all sorting substrates and switch models agree on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -35,6 +36,14 @@ class BitVec {
 
   bool get(std::size_t i) const;
   void set(std::size_t i, bool value);
+
+  /// Unchecked get()/set(true)/set(false) for hot loops: the caller
+  /// guarantees i < size().
+  bool test(std::size_t i) const noexcept {
+    return (words_[word_index(i)] & bit_mask(i)) != 0;
+  }
+  void mark(std::size_t i) noexcept { words_[word_index(i)] |= bit_mask(i); }
+  void unmark(std::size_t i) noexcept { words_[word_index(i)] &= ~bit_mask(i); }
   void flip(std::size_t i);
 
   /// Number of 1 bits in the whole vector (the paper's k, the valid count).
@@ -57,6 +66,10 @@ class BitVec {
   /// All bits set to `value`.
   void fill(bool value) noexcept;
 
+  /// Become `n` zero bits, reusing the word storage when it is large enough
+  /// (a recycled result buffer allocates nothing in steady state).
+  void reset(std::size_t n);
+
   /// Append one bit at the end.
   void push_back(bool value);
 
@@ -71,6 +84,10 @@ class BitVec {
   /// bit i%64; tail bits past size() are zero).  This is the interface the
   /// lane-transposed batch engine and word-at-a-time scans build on.
   const std::vector<std::uint64_t>& words() const noexcept { return words_; }
+
+  /// Writable packed words, for word-level producers that fill a vector in
+  /// place.  The writer keeps the tail bits past size() zero.
+  std::uint64_t* word_data() noexcept { return words_.data(); }
 
   /// Bits per storage word (64).
   static constexpr std::size_t word_bits() noexcept { return kWordBits; }
@@ -95,5 +112,17 @@ class BitVec {
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };
+
+/// Calls fn(i) for every set bit i of `bits`, in ascending order, one word
+/// scan per 64 bits.
+template <class Fn>
+void for_each_set_bit(const BitVec& bits, Fn&& fn) {
+  const std::vector<std::uint64_t>& words = bits.words();
+  for (std::size_t wi = 0; wi < words.size(); ++wi) {
+    for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+      fn(wi * BitVec::word_bits() + static_cast<std::size_t>(std::countr_zero(w)));
+    }
+  }
+}
 
 }  // namespace pcs

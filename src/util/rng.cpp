@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <bit>
-
 #include "util/assert.hpp"
 
 namespace pcs {
@@ -24,18 +22,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) {
   PCS_REQUIRE(bound > 0, "Rng::below zero bound");
   // Rejection sampling to remove modulo bias.
@@ -54,11 +40,6 @@ std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {
 bool Rng::chance(double p) {
   PCS_REQUIRE(p >= 0.0 && p <= 1.0, "Rng::chance probability");
   return uniform01() < p;
-}
-
-double Rng::uniform01() {
-  // 53 random mantissa bits, as in the standard xoshiro recipe.
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 BitVec Rng::bernoulli_bits(std::size_t n, double p) {

@@ -200,6 +200,43 @@ TEST(FabricSim, DeterministicPerSeed) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// run() starts every campaign from empty queues, full credits and fresh
+// allocator pointers, so one simulator run twice produces the same registry.
+// The saturated case leaves messages in flight after its first campaign; the
+// contended one (two credits) moves the allocators' pointers off their start.
+TEST(FabricSim, RunTwiceGivesIdenticalRegistries) {
+  struct Case {
+    const char* name;
+    double load;
+    std::size_t credits;
+    std::size_t drain_epochs_max;
+    const char* alloc;
+  };
+  const Case cases[] = {
+      {"saturated rr", 0.9, 8, 0, "rr"},
+      {"saturated islip", 1.0, 8, 0, "islip"},
+      {"contended drained rr", 0.8, 2, 512, "rr"},
+      {"contended drained islip", 0.8, 2, 512, "islip"},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t e : {1, 4}) {
+      FabricSpec spec = base_spec(Topology::kOmega, 3, 2);
+      spec.credits = c.credits;
+      spec.alloc = c.alloc;
+      FabricOptions opts = fast_opts();
+      opts.drain_epochs_max = c.drain_epochs_max;
+      opts.epochs_in_flight = e;
+      FabricSim sim(spec, opts, bernoulli(c.load));
+      MetricsRegistry first, second;
+      const RuntimeReport r1 = sim.run(first);
+      const RuntimeReport r2 = sim.run(second);
+      EXPECT_EQ(r1.saturated, c.drain_epochs_max == 0) << c.name;
+      EXPECT_EQ(r2.residual_backlog, r1.residual_backlog) << c.name << " E=" << e;
+      EXPECT_EQ(second.to_json(), first.to_json()) << c.name << " E=" << e;
+    }
+  }
+}
+
 TEST(FabricSim, MakeFabricSimBridgesTheRuntimeConfig) {
   rt::RuntimeConfig cfg;
   cfg.family = "columnsort";

@@ -3,21 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gates/circuit.hpp"
 #include "gates/evaluator.hpp"
 #include "legacy_reference.hpp"
 #include "plan/compile.hpp"
+#include "plan/counting_kernels.hpp"
 #include "plan/plan_switch.hpp"
 #include "sortnet/lane_batch.hpp"
 #include "sortnet/mesh_ops.hpp"
 #include "switch/columnsort_switch.hpp"
 #include "switch/full_sort_hyper.hpp"
 #include "switch/hyper_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "switch/multipass_switch.hpp"
 #include "switch/revsort_switch.hpp"
 #include "util/bitvec.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -220,6 +228,143 @@ TEST(FuzzDifferential, MultipassSwitchBatchMatchesSequential) {
   sw::MultipassColumnsortSwitch alt(32, 4, 3, 64,
                                     sw::ReshapeSchedule::kAlternating);
   expect_batch_matches_sequential(alt, rng);
+}
+
+// --- routed-input masks vs route()'s output_of_input ---------------------
+
+/// Every mask bit must equal route()'s output_of_input[x] >= 0.
+void expect_masks_match_route(const sw::ConcentratorSwitch& s,
+                              const std::vector<BitVec>& patterns,
+                              const std::vector<BitVec>& routed,
+                              const std::string& what) {
+  ASSERT_GE(routed.size(), patterns.size()) << what;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const sw::SwitchRouting ref = s.route(patterns[i]);
+    ASSERT_EQ(routed[i].size(), s.inputs()) << what << " pattern " << i;
+    for (std::size_t x = 0; x < s.inputs(); ++x) {
+      ASSERT_EQ(routed[i].get(x), ref.output_of_input[x] >= 0)
+          << what << " pattern " << i << " input " << x;
+    }
+  }
+}
+
+/// Batch sizes on both sides of kMinChunkWork, so the mask path runs inline
+/// and as pooled chunks.  One recycled mask vector serves every dispatch,
+/// large and small, as in the campaign engines.
+void expect_mask_batches_match_route(const sw::ConcentratorSwitch& s, Rng& rng) {
+  const std::size_t pooled = 2 * kMinChunkWork / s.inputs() + 3;
+  std::vector<BitVec> routed;
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{64},
+                                  pooled, std::size_t{5}}) {
+    const std::vector<BitVec> patterns = make_patterns(s.inputs(), batch, rng);
+    s.route_batch_mask(patterns, routed);
+    expect_masks_match_route(s, patterns, routed,
+                             s.name() + " batch " + std::to_string(batch));
+  }
+}
+
+std::unique_ptr<sw::ConcentratorSwitch> spec_switch(const std::string& family,
+                                                    std::size_t n, std::size_t m,
+                                                    std::vector<plan::ChipFault> faults = {}) {
+  SwitchSpec spec;
+  spec.family = family;
+  spec.n = n;
+  spec.m = m;
+  spec.beta = 0.75;
+  spec.faults = std::move(faults);
+  return make_switch(spec);
+}
+
+TEST(FuzzDifferential, RouteBatchMaskMatchesRouteOnEveryFamily) {
+  Rng rng(392);
+  // Revsort below side 64 (the scalar kernel) and at side 64 (the
+  // dense-prefix kernel, AVX-512 where the CPU has it), Columnsort, the
+  // hyperconcentrator (the base-class reading of route_batch), and faulted
+  // plans on the generic staged path.
+  expect_mask_batches_match_route(*spec_switch("revsort", 256, 192), rng);
+  expect_mask_batches_match_route(*spec_switch("revsort", 4096, 1900), rng);
+  expect_mask_batches_match_route(*spec_switch("columnsort", 256, 192), rng);
+  expect_mask_batches_match_route(*spec_switch("hyper", 256, 192), rng);
+  expect_mask_batches_match_route(*spec_switch("revsort", 256, 192, {{0, 0}}),
+                                  rng);
+  expect_mask_batches_match_route(
+      *spec_switch("columnsort", 256, 192, {{0, 1}, {1, 2}}), rng);
+  expect_mask_batches_match_route(
+      sw::MultipassColumnsortSwitch(32, 4, 2, 64, sw::ReshapeSchedule::kSame),
+      rng);
+}
+
+TEST(FuzzDifferential, DensePrefixMaskKernelsMatchRouteWithAndWithoutAvx512) {
+  // The executor picks the AVX-512 dense-prefix kernel whenever the CPU has
+  // it, so the scalar dense-prefix body is driven here directly; both
+  // variants must give route()'s masks (and, for the full output, route()'s
+  // routing).
+  Rng rng(393);
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{4096, 1900},
+                             {16384, 5000}}) {
+    const std::unique_ptr<sw::ConcentratorSwitch> s = spec_switch("revsort", n, m);
+    const auto& ps = dynamic_cast<const plan::PlanSwitch&>(*s);
+    const plan::SwitchPlan& p = ps.plan();
+    ASSERT_GE(p.fp_side, 64u);
+    const unsigned q = static_cast<unsigned>(std::countr_zero(p.fp_side));
+    const std::vector<BitVec> patterns = make_patterns(n, 10, rng);
+    std::vector<bool> variants{false};
+    if (plan::cpu_has_avx512f()) variants.push_back(true);
+    for (const bool vectorize : variants) {
+      plan::RevsortScratch scratch;
+      scratch.fit(p.fp_side, n);
+      std::vector<BitVec> routed(patterns.size());
+      for (std::size_t i = 0; i < patterns.size(); ++i) {
+        plan::revsort_route_kernel_fused(patterns[i], m, p.fp_side, q, p.fp_rev,
+                                         scratch, vectorize,
+                                         plan::sink_for(routed[i], n, m));
+        sw::SwitchRouting full;
+        plan::revsort_route_kernel_fused(patterns[i], m, p.fp_side, q, p.fp_rev,
+                                         scratch, vectorize,
+                                         plan::sink_for(full, n, m));
+        const sw::SwitchRouting ref = s->route(patterns[i]);
+        ASSERT_EQ(full.output_of_input, ref.output_of_input) << n << " " << i;
+        ASSERT_EQ(full.input_of_output, ref.input_of_output) << n << " " << i;
+      }
+      expect_masks_match_route(*s, patterns, routed,
+                               s->name() + (vectorize ? " avx512" : " scalar"));
+    }
+  }
+}
+
+TEST(FuzzDifferential, ConcurrentMaskRoutesThroughOneSharedSwitch) {
+  // The plan cache hands one switch instance to every connection thread;
+  // kernel scratch is per thread, so concurrent dispatches (inline and
+  // pooled) must neither race nor disturb each other's results.
+  const std::unique_ptr<sw::ConcentratorSwitch> s = spec_switch("revsort", 256, 192);
+  Rng rng(394);
+  std::vector<std::vector<BitVec>> work;
+  for (const std::size_t batch : {std::size_t{7}, 2 * kMinChunkWork / 256 + 1}) {
+    work.push_back(make_patterns(256, batch, rng));
+  }
+  std::vector<std::vector<BitVec>> expected(work.size());
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    s->route_batch_mask(work[w], expected[w]);
+  }
+  auto worker = [&](std::size_t first, bool& ok) {
+    std::vector<BitVec> routed;
+    ok = true;
+    for (int round = 0; round < 20; ++round) {
+      const std::size_t w = (first + static_cast<std::size_t>(round)) % work.size();
+      s->route_batch_mask(work[w], routed);
+      for (std::size_t i = 0; i < work[w].size(); ++i) {
+        ok = ok && routed[i] == expected[w][i];
+      }
+    }
+  };
+  bool ok0 = false, ok1 = false;
+  std::thread t0(worker, 0, std::ref(ok0));
+  std::thread t1(worker, 1, std::ref(ok1));
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(ok0);
+  EXPECT_TRUE(ok1);
+  expect_masks_match_route(*s, work[0], expected[0], "shared revsort");
 }
 
 // --- plan executor vs the staged-interpreter oracle on random plans ------
