@@ -7,6 +7,7 @@
 // count (formula + pad constants), and the *measured* gate depth of the
 // reconstructed data-path circuits (selection-tree chips composed through
 // the wiring; wiring and hardwired shifters contribute zero logic depth).
+#include <cmath>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -14,7 +15,6 @@
 #include "cost/resource_model.hpp"
 #include "hyper/barrel_shifter.hpp"
 #include "hyper/hyper_circuit.hpp"
-#include "switch/columnsort_switch.hpp"
 #include "util/mathutil.hpp"
 
 namespace {
@@ -61,9 +61,10 @@ void print_artifacts() {
                       std::pair<std::size_t, std::size_t>{128, 8},
                       std::pair<std::size_t, std::size_t>{256, 4}}) {
     const std::size_t n = r * s;
-    pcs::sw::ColumnsortSwitch sw(r, s, n / 2);
+    const double beta = std::log2(static_cast<double>(r)) /
+                        std::log2(static_cast<double>(n));
     std::size_t measured = 2 * measured_chip_depth(r);
-    std::printf("%8zu %6zu %6zu %8.3f %16zu %12zu %18zu\n", n, r, s, sw.beta(),
+    std::printf("%8zu %6zu %6zu %8.3f %16zu %12zu %18zu\n", n, r, s, beta,
                 pcs::core::columnsort_delay_formula(r, 0),
                 pcs::cost::columnsort_report(r, s, n / 2, zero).gate_delays, measured);
   }

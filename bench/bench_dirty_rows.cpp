@@ -13,11 +13,11 @@
 
 #include "bench_common.hpp"
 #include "core/adversary.hpp"
+#include "plan/plan_switch.hpp"
 #include "sortnet/columnsort.hpp"
 #include "sortnet/nearsort.hpp"
 #include "sortnet/revsort.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -39,7 +39,7 @@ void print_artifacts() {
       sortnet::revsort_algorithm1(m);
       worst_rows = std::max(worst_rows, m.dirty_row_count());
     }
-    sw::RevsortSwitch swr(n, n);
+    const plan::PlanSwitch swr(make_switch_plan({"revsort", n, n}));
     core::WorstCase wc = core::worst_epsilon_search(swr, 25, 120, rng);
     std::printf("%10zu %8zu %14zu %14zu %16zu %16zu\n", n, side, bound, worst_rows,
                 swr.epsilon_bound(), wc.epsilon);
@@ -54,7 +54,8 @@ void print_artifacts() {
                       std::pair<std::size_t, std::size_t>{256, 16},
                       std::pair<std::size_t, std::size_t>{64, 16}}) {
     const std::size_t n = r * s;
-    sw::ColumnsortSwitch swc(r, s, n);
+    const plan::PlanSwitch swc(
+        make_switch_plan({.family = "columnsort", .m = n, .r = r, .s = s}));
     core::WorstCase wc = core::worst_epsilon_search(swc, 25, 120, rng);
     std::printf("%10zu %6zu %6zu %14zu %14zu\n", n, r, s, swc.epsilon_bound(),
                 wc.epsilon);

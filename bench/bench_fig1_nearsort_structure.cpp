@@ -10,9 +10,9 @@
 
 #include "bench_common.hpp"
 #include "core/lemmas.hpp"
+#include "plan/plan_switch.hpp"
 #include "sortnet/nearsort.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -49,10 +49,12 @@ void print_structure_table(const pcs::sw::ConcentratorSwitch& sw, pcs::Rng& rng)
 void print_artifacts() {
   pcs::Rng rng(1001);
   pcs::bench::artifact_header("Figure 1", "nearsorted-sequence structure (Lemma 1)");
-  pcs::sw::RevsortSwitch rev(1024, 1024);
+  const pcs::plan::PlanSwitch rev(
+      pcs::make_switch_plan({"revsort", 1024, 1024}));
   print_structure_table(rev, rng);
   std::printf("\n");
-  pcs::sw::ColumnsortSwitch col(128, 8, 1024);
+  const pcs::plan::PlanSwitch col(
+      pcs::make_switch_plan({.family = "columnsort", .m = 1024, .r = 128, .s = 8}));
   print_structure_table(col, rng);
   std::printf(
       "\nLemma 1 envelope: clean-1s >= k - eps, window <= 2*eps, "

@@ -13,7 +13,7 @@
 #include "cost/layout.hpp"
 #include "cost/render.hpp"
 #include "cost/resource_model.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
@@ -54,12 +54,12 @@ void print_artifacts() {
   pcs::bench::artifact_header(
       "Figure 3 scenario", "n = 64, m = 28, k = 24 valid messages (the figure's)");
   {
-    pcs::sw::RevsortSwitch sw(64, 28);
+    const auto sw = pcs::make_switch({"revsort", 64, 28});
     pcs::Rng rng(2026);
     std::size_t min_routed = 64, trials = 200;
     for (std::size_t t = 0; t < trials; ++t) {
       pcs::BitVec valid = rng.exact_weight_bits(64, 24);
-      min_routed = std::min(min_routed, sw.route(valid).routed_count());
+      min_routed = std::min(min_routed, sw->route(valid).routed_count());
     }
     std::printf("  routed 24/24 in every one of %zu random placements: %s "
                 "(min %zu)\n",

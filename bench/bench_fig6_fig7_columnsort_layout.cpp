@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "cost/layout.hpp"
 #include "cost/render.hpp"
-#include "switch/columnsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
@@ -53,17 +53,18 @@ void print_artifacts() {
   pcs::bench::artifact_header(
       "Figure 6 scenario", "8x4 mesh, m = 18, k = 14 valid messages (the figure's)");
   {
-    pcs::sw::ColumnsortSwitch sw(8, 4, 18);
+    const auto sw =
+        pcs::make_switch({.family = "columnsort", .m = 18, .r = 8, .s = 4});
     pcs::Rng rng(2027);
     std::size_t min_routed = 32, trials = 200;
     for (std::size_t t = 0; t < trials; ++t) {
       pcs::BitVec valid = rng.exact_weight_bits(32, 14);
-      min_routed = std::min(min_routed, sw.route(valid).routed_count());
+      min_routed = std::min(min_routed, sw->route(valid).routed_count());
     }
     std::printf("  guaranteed capacity m - (s-1)^2 = %zu; min routed over %zu\n"
                 "  random placements of 14 messages: %zu (the figure's scenario\n"
                 "  routes all 14)\n",
-                sw.guaranteed_capacity(), trials, min_routed);
+                sw->guaranteed_capacity(), trials, min_routed);
   }
 
   pcs::bench::artifact_header("Figure 7 drawing", "r = 16, s = 4 stacks");

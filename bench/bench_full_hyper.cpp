@@ -12,7 +12,8 @@
 #include "cost/layout.hpp"
 #include "cost/render.hpp"
 #include "cost/resource_model.hpp"
-#include "switch/full_sort_hyper.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
@@ -43,11 +44,13 @@ void print_artifacts() {
               "volume", "sorts?");
   for (std::size_t side : {8u, 16u, 32u, 64u}) {
     const std::size_t n = side * side;
-    sw::FullRevsortHyper sw(n);
+    const plan::PlanSwitch sw(make_switch_plan({"full-revsort", n}));
     cost::ResourceReport r = cost::full_revsort_report(n, zero);
-    bool ok = verify_hyper(sw, rng, 40) && sw.extra_phases_used() == 0;
+    bool ok = verify_hyper(sw, rng, 40) && sw.executor().extra_phases_used() == 0;
+    // One shifter stage of `side` chips per Revsort repetition.
     std::printf("%10zu %6zu %8zu %14zu %12zu %14zu %10zu %12zu %8s\n", n,
-                sw.repetitions(), sw.chip_passes(), r.gate_delays,
+                sw.plan().shifter_count() / side, sw.plan().chip_passes(),
+                r.gate_delays,
                 cost::paper_full_revsort_delay_formula(n), r.chip_count,
                 r.pins_per_chip, r.volume_3d, ok ? "yes" : "NO");
   }
@@ -64,12 +67,13 @@ void print_artifacts() {
                       std::pair<std::size_t, std::size_t>{512, 8},
                       std::pair<std::size_t, std::size_t>{512, 16}}) {
     const std::size_t n = r * s;
-    sw::FullColumnsortHyper sw(r, s);
+    const plan::PlanSwitch sw(
+        make_switch_plan({.family = "full-columnsort", .r = r, .s = s}));
     cost::ResourceReport rep = cost::full_columnsort_report(r, s, zero);
     bool ok = verify_hyper(sw, rng, 40);
     // Paper: 8 beta lg n + O(1) = 8 lg r.
     std::printf("%10zu %6zu %6zu %8zu %14zu %14u %10zu %12zu %8s\n", n, r, s,
-                sw::FullColumnsortHyper::kChipPasses, rep.gate_delays,
+                sw.plan().chip_passes(), rep.gate_delays,
                 8 * ceil_log2(r), rep.chip_count, rep.volume_3d, ok ? "yes" : "NO");
   }
 
@@ -94,21 +98,22 @@ void print_artifacts() {
 
 void BM_FullRevsortRoute(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  pcs::sw::FullRevsortHyper sw(n);
+  const auto sw = pcs::make_switch({"full-revsort", n});
   pcs::Rng rng(6002);
   pcs::BitVec valid = rng.bernoulli_bits(n, 0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.route(valid));
+    benchmark::DoNotOptimize(sw->route(valid));
   }
 }
 BENCHMARK(BM_FullRevsortRoute)->Arg(1 << 10)->Arg(1 << 12);
 
 void BM_FullColumnsortRoute(benchmark::State& state) {
-  pcs::sw::FullColumnsortHyper sw(512, 8);
+  const auto sw =
+      pcs::make_switch({.family = "full-columnsort", .r = 512, .s = 8});
   pcs::Rng rng(6003);
   pcs::BitVec valid = rng.bernoulli_bits(4096, 0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.route(valid));
+    benchmark::DoNotOptimize(sw->route(valid));
   }
 }
 BENCHMARK(BM_FullColumnsortRoute);

@@ -8,8 +8,7 @@
 
 #include "bench_common.hpp"
 #include "network/knockout.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -19,13 +18,13 @@ using Factory = std::function<std::unique_ptr<pcs::sw::ConcentratorSwitch>(
 
 Factory hyper_ports() {
   return [](std::size_t n, std::size_t m) {
-    return std::make_unique<pcs::sw::HyperSwitch>(n, m);
+    return pcs::make_switch({"hyper", n, m});
   };
 }
 
 Factory revsort_ports() {
   return [](std::size_t n, std::size_t m) {
-    return std::make_unique<pcs::sw::RevsortSwitch>(n, m);
+    return pcs::make_switch({"revsort", n, m});
   };
 }
 

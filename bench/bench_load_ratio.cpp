@@ -13,10 +13,9 @@
 
 #include "bench_common.hpp"
 #include "core/epsilon_stats.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "switch/perfect_from_partial.hpp"
-#include "switch/revsort_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -58,13 +57,17 @@ void sweep_switch(const pcs::sw::ConcentratorSwitch& sw, pcs::Rng& rng) {
 void print_artifacts() {
   pcs::Rng rng(4001);
   pcs::bench::artifact_header("D4", "partial-concentration contract, k sweep");
-  pcs::sw::HyperSwitch hyper(1024, 512);
+  const pcs::plan::PlanSwitch hyper(
+      pcs::make_switch_plan({"hyper", 1024, 512}));
   sweep_switch(hyper, rng);
-  pcs::sw::RevsortSwitch rev(1024, 768);
+  const pcs::plan::PlanSwitch rev(
+      pcs::make_switch_plan({"revsort", 1024, 768}));
   sweep_switch(rev, rng);
-  pcs::sw::ColumnsortSwitch col(128, 8, 768);
+  const pcs::plan::PlanSwitch col(
+      pcs::make_switch_plan({.family = "columnsort", .m = 768, .r = 128, .s = 8}));
   sweep_switch(col, rng);
-  pcs::sw::ColumnsortSwitch col_wide(256, 4, 768);
+  const pcs::plan::PlanSwitch col_wide(
+      pcs::make_switch_plan({.family = "columnsort", .m = 768, .r = 256, .s = 4}));
   sweep_switch(col_wide, rng);
 
   pcs::bench::artifact_header(
@@ -72,7 +75,8 @@ void print_artifacts() {
   std::printf("%-28s %8s %8s %8s %8s %8s %8s %10s\n", "switch", "density", "mean",
               "p50", "p90", "p99", "max", "bound");
   {
-    pcs::sw::RevsortSwitch sw(1024, 1024);
+    const pcs::plan::PlanSwitch sw(
+        pcs::make_switch_plan({"revsort", 1024, 1024}));
     for (double d : {0.25, 0.5, 0.75}) {
       auto s = pcs::core::collect_epsilon_stats(sw, 300, d, rng);
       std::printf("%-28s %8.2f %8.1f %8zu %8zu %8zu %8zu %10zu\n",
@@ -81,7 +85,8 @@ void print_artifacts() {
     }
   }
   {
-    pcs::sw::ColumnsortSwitch sw(128, 8, 1024);
+    const pcs::plan::PlanSwitch sw(
+        pcs::make_switch_plan({.family = "columnsort", .m = 1024, .r = 128, .s = 8}));
     for (double d : {0.25, 0.5, 0.75}) {
       auto s = pcs::core::collect_epsilon_stats(sw, 300, d, rng);
       std::printf("%-28s %8.2f %8.1f %8zu %8zu %8zu %8zu %10zu\n",
@@ -95,7 +100,8 @@ void print_artifacts() {
   // Inner: columnsort (r=128, s=8) n=1024, m_inner=1024, eps=49 ->
   // capacity 975.  Wrap as a 512-by-487 perfect concentrator and check the
   // min(k, m) guarantee.
-  pcs::sw::ColumnsortSwitch inner(128, 8, 1024);
+  const pcs::plan::PlanSwitch inner(
+      pcs::make_switch_plan({.family = "columnsort", .m = 1024, .r = 128, .s = 8}));
   pcs::sw::PerfectFromPartial perfect(inner, 512, 487);
   std::printf("inner %s; wrapper n=%zu m=%zu, wire overhead %.3fx\n",
               inner.name().c_str(), perfect.inputs(), perfect.outputs(),
@@ -113,7 +119,7 @@ void print_artifacts() {
 
 void BM_RouteRevsort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  pcs::sw::RevsortSwitch sw(n, n / 2);
+  const pcs::plan::PlanSwitch sw(pcs::make_switch_plan({"revsort", n, n / 2}));
   pcs::Rng rng(4002);
   pcs::BitVec valid = rng.bernoulli_bits(n, 0.5);
   for (auto _ : state) {

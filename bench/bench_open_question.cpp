@@ -3,7 +3,7 @@
 //        concentrator with two stages of p-pin chips?"  The Columnsort
 //        construction realizes f(p) = p^{2-eps'}; we tabulate the realized
 //        (n, epsilon) frontier for a grid of pin budgets.
-//   (b) "How large an f(p) with k stages?"  The MultipassColumnsortSwitch
+//   (b) "How large an f(p) with k stages?"  The multipass Columnsort switch
 //        adds passes; we measure (adversarially) how epsilon falls with the
 //        pass count d, i.e. how much load ratio one extra chip crossing
 //        (2 lg r gate delays) buys.
@@ -11,11 +11,18 @@
 
 #include "bench_common.hpp"
 #include "core/adversary.hpp"
-#include "switch/multipass_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
 namespace {
+
+pcs::SwitchSpec multipass(std::size_t r, std::size_t s, std::size_t passes,
+                          std::size_t m, pcs::plan::ReshapeSchedule schedule) {
+  return {.family = "multipass", .m = m, .r = r, .s = s, .passes = passes,
+          .schedule = schedule};
+}
 
 void print_artifacts() {
   using namespace pcs;
@@ -44,14 +51,16 @@ void print_artifacts() {
               "eps (same)", "eps (alt)", "delay/msg");
   Rng rng(9001);
   for (std::size_t d = 1; d <= 5; ++d) {
-    sw::MultipassColumnsortSwitch same(64, 8, d, 512, sw::ReshapeSchedule::kSame);
-    sw::MultipassColumnsortSwitch alt(64, 8, d, 512,
-                                      sw::ReshapeSchedule::kAlternating);
+    const plan::PlanSwitch same(
+        make_switch_plan(multipass(64, 8, d, 512, plan::ReshapeSchedule::kSame)));
+    const plan::PlanSwitch alt(make_switch_plan(
+        multipass(64, 8, d, 512, plan::ReshapeSchedule::kAlternating)));
     core::WorstCase ws = core::worst_epsilon_search(same, 30, 150, rng);
     core::WorstCase wa = core::worst_epsilon_search(alt, 30, 150, rng);
+    const std::size_t passes = same.plan().chip_passes();
     std::printf("%8zu %10zu %14zu %16zu %16zu %16zu\n", d,
-                same.bill_of_materials().total_chips(), same.chip_passes(),
-                ws.epsilon, wa.epsilon, same.chip_passes() * 2 * ceil_log2(64));
+                same.plan().chip_count(), passes, ws.epsilon, wa.epsilon,
+                passes * 2 * ceil_log2(64));
   }
   std::printf(
       "(finding: repeating the SAME CM->RM conversion hits a fixed point --\n"
@@ -64,22 +73,24 @@ void print_artifacts() {
       "open Q (b')", "same ablation at a wider mesh (r=256, s=16)");
   std::printf("%8s %16s %16s\n", "passes", "eps (same)", "eps (alt)");
   for (std::size_t d = 1; d <= 4; ++d) {
-    sw::MultipassColumnsortSwitch same(256, 16, d, 2048, sw::ReshapeSchedule::kSame);
-    sw::MultipassColumnsortSwitch alt(256, 16, d, 2048,
-                                      sw::ReshapeSchedule::kAlternating);
-    core::WorstCase ws = core::worst_epsilon_search(same, 15, 80, rng);
-    core::WorstCase wa = core::worst_epsilon_search(alt, 15, 80, rng);
+    const auto same =
+        make_switch(multipass(256, 16, d, 2048, plan::ReshapeSchedule::kSame));
+    const auto alt = make_switch(
+        multipass(256, 16, d, 2048, plan::ReshapeSchedule::kAlternating));
+    core::WorstCase ws = core::worst_epsilon_search(*same, 15, 80, rng);
+    core::WorstCase wa = core::worst_epsilon_search(*alt, 15, 80, rng);
     std::printf("%8zu %16zu %16zu\n", d, ws.epsilon, wa.epsilon);
   }
 }
 
 void BM_MultipassRoute(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
-  pcs::sw::MultipassColumnsortSwitch sw(256, 16, d, 2048);
+  const auto sw = pcs::make_switch(
+      multipass(256, 16, d, 2048, pcs::plan::ReshapeSchedule::kSame));
   pcs::Rng rng(9002);
   pcs::BitVec valid = rng.bernoulli_bits(4096, 0.5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.route(valid));
+    benchmark::DoNotOptimize(sw->route(valid));
   }
 }
 BENCHMARK(BM_MultipassRoute)->Arg(1)->Arg(3)->Arg(5);

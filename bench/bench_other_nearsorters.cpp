@@ -14,10 +14,10 @@
 
 #include "bench_common.hpp"
 #include "core/adversary.hpp"
+#include "plan/plan_switch.hpp"
 #include "sortnet/displacement.hpp"
 #include "switch/comparator_switch.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
@@ -82,14 +82,15 @@ void print_artifacts() {
   std::printf("%-28s %10s %14s %12s\n", "design", "delay", "eps (adv.)",
               "area proxy");
   {
-    sw::RevsortSwitch rev(n, 192);
+    const plan::PlanSwitch rev(make_switch_plan({"revsort", n, 192}));
     core::WorstCase wc = core::worst_epsilon_search(rev, 25, 120, rng);
     // 3 chips of 2 lg 16 plus shifter wiring.
     std::printf("%-28s %10zu %14zu %12s\n", rev.name().c_str(),
                 static_cast<std::size_t>(3 * 2 * ceil_log2(16)), wc.epsilon, "3n sqrt(n)");
   }
   {
-    sw::ColumnsortSwitch col(64, 4, 192);
+    const plan::PlanSwitch col(
+        make_switch_plan({.family = "columnsort", .m = 192, .r = 64, .s = 4}));
     core::WorstCase wc = core::worst_epsilon_search(col, 25, 120, rng);
     std::printf("%-28s %10zu %14zu %12s\n", col.name().c_str(),
                 static_cast<std::size_t>(2 * 2 * ceil_log2(64)),

@@ -4,10 +4,9 @@
 // The lane axis shows what batching across replicas buys over lanes=1
 // (one route() worth of work per dispatch).
 #include "bench_common.hpp"
+#include "plan/plan_switch.hpp"
 #include "runtime/fabric_runtime.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/traffic_source.hpp"
 
 namespace {
@@ -51,19 +50,21 @@ void campaign_loop(benchmark::State& state, const pcs::sw::ConcentratorSwitch& s
 }
 
 void BM_ServeRevsort(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(4096, 3072);
+  const pcs::plan::PlanSwitch sw(
+      pcs::make_switch_plan({"revsort", 4096, 3072}));
   campaign_loop(state, sw, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_ServeRevsort)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_ServeColumnsort(benchmark::State& state) {
-  const auto sw = pcs::sw::ColumnsortSwitch::from_beta(4096, 0.75, 3072);
+  const pcs::plan::PlanSwitch sw(
+      pcs::make_switch_plan({"columnsort", 4096, 3072, 0.75}));
   campaign_loop(state, sw, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_ServeColumnsort)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_ServeHyper(benchmark::State& state) {
-  pcs::sw::HyperSwitch sw(4096, 2048);
+  const pcs::plan::PlanSwitch sw(pcs::make_switch_plan({"hyper", 4096, 2048}));
   campaign_loop(state, sw, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_ServeHyper)->Arg(1)->Arg(8)->Arg(32);

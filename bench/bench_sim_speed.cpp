@@ -1,13 +1,10 @@
 // Library performance (experiment P1): wall-clock cost of one setup
-// (route()) for each switch design across sizes, the hardware-faithful
-// wiring path vs the mesh fast path, and the nearsortedness analyzer.
+// (route()) for each switch design across sizes, the batch fast paths, and
+// the nearsortedness analyzer.
 // These are simulator numbers, not hardware claims.
 #include "bench_common.hpp"
 #include "sortnet/nearsort.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -30,40 +27,31 @@ void route_loop(benchmark::State& state, const Switch& sw) {
 }
 
 void BM_RouteHyper(benchmark::State& state) {
-  pcs::sw::HyperSwitch sw(static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)) / 2);
-  route_loop(state, sw);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto sw = pcs::make_switch({"hyper", n, n / 2});
+  route_loop(state, *sw);
 }
 BENCHMARK(BM_RouteHyper)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_RouteRevsortMesh(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(static_cast<std::size_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(0)) / 2);
-  route_loop(state, sw);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto sw = pcs::make_switch({"revsort", n, n / 2});
+  route_loop(state, *sw);
 }
 BENCHMARK(BM_RouteRevsortMesh)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-void BM_RouteRevsortWiring(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  pcs::sw::RevsortSwitch sw(n, n / 2);
-  pcs::Rng rng(7002);
-  pcs::BitVec valid = rng.bernoulli_bits(n, 0.5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sw.route_via_wiring(valid));
-  }
-}
-BENCHMARK(BM_RouteRevsortWiring)->Arg(1 << 10)->Arg(1 << 14);
-
 void BM_RouteColumnsort(benchmark::State& state) {
   const std::size_t r = static_cast<std::size_t>(state.range(0));
-  pcs::sw::ColumnsortSwitch sw(r, 16, r * 8);
-  route_loop(state, sw);
+  const auto sw =
+      pcs::make_switch({.family = "columnsort", .m = r * 8, .r = r, .s = 16});
+  route_loop(state, *sw);
 }
 BENCHMARK(BM_RouteColumnsort)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_RouteFullRevsort(benchmark::State& state) {
-  pcs::sw::FullRevsortHyper sw(static_cast<std::size_t>(state.range(0)));
-  route_loop(state, sw);
+  const auto sw =
+      pcs::make_switch({"full-revsort", static_cast<std::size_t>(state.range(0))});
+  route_loop(state, *sw);
 }
 BENCHMARK(BM_RouteFullRevsort)->Arg(1 << 10)->Arg(1 << 14);
 
@@ -109,37 +97,39 @@ void nearsort_batch_loop(benchmark::State& state, const Switch& sw,
 }
 
 void BM_RouteBatchHyper(benchmark::State& state) {
-  pcs::sw::HyperSwitch sw(static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)) / 2);
-  route_batch_loop(state, sw, 64);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto sw = pcs::make_switch({"hyper", n, n / 2});
+  route_batch_loop(state, *sw, 64);
 }
 BENCHMARK(BM_RouteBatchHyper)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_RouteBatchRevsort(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(static_cast<std::size_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(0)) / 2);
-  route_batch_loop(state, sw, 64);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto sw = pcs::make_switch({"revsort", n, n / 2});
+  route_batch_loop(state, *sw, 64);
 }
 BENCHMARK(BM_RouteBatchRevsort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_RouteBatchColumnsort(benchmark::State& state) {
   const std::size_t r = static_cast<std::size_t>(state.range(0));
-  pcs::sw::ColumnsortSwitch sw(r, 16, r * 8);
-  route_batch_loop(state, sw, 64);
+  const auto sw =
+      pcs::make_switch({.family = "columnsort", .m = r * 8, .r = r, .s = 16});
+  route_batch_loop(state, *sw, 64);
 }
 BENCHMARK(BM_RouteBatchColumnsort)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 14);
 
 void BM_NearsortBatchRevsort(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(static_cast<std::size_t>(state.range(0)),
-                            static_cast<std::size_t>(state.range(0)) / 2);
-  nearsort_batch_loop(state, sw, 64);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto sw = pcs::make_switch({"revsort", n, n / 2});
+  nearsort_batch_loop(state, *sw, 64);
 }
 BENCHMARK(BM_NearsortBatchRevsort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_NearsortBatchColumnsort(benchmark::State& state) {
   const std::size_t r = static_cast<std::size_t>(state.range(0));
-  pcs::sw::ColumnsortSwitch sw(r, 16, r * 8);
-  nearsort_batch_loop(state, sw, 64);
+  const auto sw =
+      pcs::make_switch({.family = "columnsort", .m = r * 8, .r = r, .s = 16});
+  nearsort_batch_loop(state, *sw, 64);
 }
 BENCHMARK(BM_NearsortBatchColumnsort)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 14);
 

@@ -8,7 +8,6 @@
 #include "bench_common.hpp"
 #include "cost/resource_model.hpp"
 #include "cost/table1.hpp"
-#include "switch/revsort_switch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -68,15 +67,6 @@ void BM_Table1Generation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Table1Generation)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_RevsortBom(benchmark::State& state) {
-  pcs::sw::RevsortSwitch sw(1 << 12, 1 << 11);
-  for (auto _ : state) {
-    auto bom = sw.bill_of_materials();
-    benchmark::DoNotOptimize(bom);
-  }
-}
-BENCHMARK(BM_RevsortBom);
 
 }  // namespace
 

@@ -11,10 +11,9 @@
 #include "message/ack_protocol.hpp"
 #include "message/pipeline.hpp"
 #include "network/router_sim.hpp"
+#include "plan/plan_switch.hpp"
 #include "runtime/fabric_runtime.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/factory.hpp"
 #include "util/rng.hpp"
 
@@ -68,9 +67,10 @@ void policy_table(const pcs::sw::ConcentratorSwitch& sw, double arrival_p) {
 
 void print_artifacts() {
   pcs::bench::artifact_header("D6a", "congestion policies per switch");
-  pcs::sw::HyperSwitch hyper(256, 128);
-  pcs::sw::RevsortSwitch rev(256, 128);
-  pcs::sw::ColumnsortSwitch col(64, 4, 128);
+  const pcs::plan::PlanSwitch hyper(pcs::make_switch_plan({"hyper", 256, 128}));
+  const pcs::plan::PlanSwitch rev(pcs::make_switch_plan({"revsort", 256, 128}));
+  const pcs::plan::PlanSwitch col(
+      pcs::make_switch_plan({.family = "columnsort", .m = 128, .r = 64, .s = 4}));
   for (double p : {0.2, 0.6}) {
     policy_table(hyper, p);
     policy_table(rev, p);
@@ -139,7 +139,8 @@ void print_artifacts() {
     // Every wire offers every epoch and drop clears the losers, so each
     // epoch presents a fresh full batch.  Epochs start every setup period;
     // the last one's final bit leaves one flight time after its period.
-    pcs::sw::RevsortSwitch sw(1024, 512);
+    const pcs::plan::PlanSwitch sw(
+        pcs::make_switch_plan({"revsort", 1024, 512}));
     pcs::traffic::TrafficSpec saturating;
     saturating.width = 1024;
     saturating.injection = "exact";
@@ -169,8 +170,10 @@ void print_artifacts() {
       const char* label;
       const pcs::sw::ConcentratorSwitch* sw;
     };
-    pcs::sw::HyperSwitch hyper_sw(256, 64);
-    pcs::sw::RevsortSwitch rev_sw(256, 64);
+    const pcs::plan::PlanSwitch hyper_sw(
+        pcs::make_switch_plan({"hyper", 256, 64}));
+    const pcs::plan::PlanSwitch rev_sw(
+        pcs::make_switch_plan({"revsort", 256, 64}));
     for (auto [label, swp] : {Entry{"hyper(256,64)", &hyper_sw},
                               Entry{"revsort(256,64)", &rev_sw}}) {
       pcs::Rng rng(5005);
@@ -190,7 +193,7 @@ void print_artifacts() {
 // (64 rounds of valid bits per route_batch call).  items/sec = setups/sec.
 void BM_BatchedSetupThroughput(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  pcs::sw::RevsortSwitch sw(n, n / 2);
+  const pcs::plan::PlanSwitch sw(pcs::make_switch_plan({"revsort", n, n / 2}));
   pcs::Rng rng(5007);
   constexpr std::size_t kBatch = 64;
   std::vector<pcs::BitVec> rounds;

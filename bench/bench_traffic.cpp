@@ -5,7 +5,8 @@
 // bound-stress search timing (the search is a setup-time cost, but its
 // price decides how large a worstcase campaign can reasonably ask for).
 #include "bench_common.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/factory.hpp"
 #include "traffic/search.hpp"
 #include "traffic/trace.hpp"
@@ -110,7 +111,7 @@ BENCHMARK(BM_TraceRecordWrapOverhead);
 
 void BM_WorstCaseSearch(benchmark::State& state) {
   // Setup-time price of pattern=worstcase on the paper's Revsort shape.
-  pcs::sw::RevsortSwitch sw(256, 192);
+  const pcs::plan::PlanSwitch sw(pcs::make_switch_plan({"revsort", 256, 192}));
   std::size_t evals = 0;
   for (auto _ : state) {
     pcs::traffic::SearchOptions opts;

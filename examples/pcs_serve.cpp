@@ -92,7 +92,7 @@ Campaign run_campaign(const std::string& family, const RuntimeConfig& base,
   }
   RuntimeConfig cfg = base;
   cfg.arrival_p = load;
-  auto sw = pcs::rt::make_switch(family, cfg);
+  auto sw = pcs::make_switch(pcs::rt::switch_spec_from(cfg, family));
 
   // Traffic plumbing: replay= substitutes a recorded offered stream (one
   // trace stream per lane), record= wraps the per-lane sources so this

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
               "k", "routed", "floor", "measured", "bound", "evals");
   try {
     for (const std::string& family : pcs::rt::split_csv(o.cfg.family)) {
-      auto sw = pcs::rt::make_switch(family, o.cfg);
+      auto sw = pcs::make_switch(pcs::rt::switch_spec_from(o.cfg, family));
       const std::size_t cap = sw->guaranteed_capacity();
       const std::size_t eps = sw->epsilon_bound();
       std::vector<std::size_t> ks;

@@ -11,6 +11,8 @@
 //               (counting kernels, LaneBatch lanes, the AVX-512 stage
 //               split, the thread pool),
 //   gate-level  the composed HyperCircuit realization, on small shapes,
+//   oracle      the single hyperconcentrator chip (tests/switch_oracles.hpp)
+//               for every hyper case,
 //   legacy      the pre-plan LabelMesh recipes (tests/legacy_reference.hpp),
 //               cross-checked against every family including faulty plans.
 //   fabric      multi-hop fabric campaigns (random topology / allocator /
@@ -42,14 +44,11 @@
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
 #include "runtime/metrics.hpp"
+#include "switch/gate_level_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch_oracles.hpp"
 #include "traffic/factory.hpp"
 #include "traffic/trace.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/gate_level_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -152,7 +151,7 @@ std::size_t pick_m(std::size_t n, Rng& rng) {
 
 struct SwitchCache {
   std::map<std::string, std::unique_ptr<sw::ConcentratorSwitch>> switches;
-  std::map<std::string, std::unique_ptr<sw::GateLevelSwitchBase>> gates;
+  std::map<std::string, std::unique_ptr<sw::GateLevelSwitch>> gates;
 
   sw::ConcentratorSwitch* get(const std::string& key,
                               std::unique_ptr<sw::ConcentratorSwitch> (*build)(
@@ -168,24 +167,29 @@ struct SwitchCache {
 
 std::unique_ptr<sw::ConcentratorSwitch> build_hyper(std::size_t n, std::size_t m,
                                                     std::size_t) {
-  return std::make_unique<sw::HyperSwitch>(n, m);
+  return pcs::make_switch({"hyper", n, m});
+}
+std::unique_ptr<sw::ConcentratorSwitch> build_hyper_oracle(std::size_t n,
+                                                           std::size_t m,
+                                                           std::size_t) {
+  return std::make_unique<pcs::oracle::HyperOracle>(n, m);
 }
 std::unique_ptr<sw::ConcentratorSwitch> build_revsort(std::size_t n, std::size_t m,
                                                       std::size_t) {
-  return std::make_unique<sw::RevsortSwitch>(n, m);
+  return pcs::make_switch({"revsort", n, m});
 }
 std::unique_ptr<sw::ConcentratorSwitch> build_columnsort(std::size_t r, std::size_t s,
                                                          std::size_t m) {
-  return std::make_unique<sw::ColumnsortSwitch>(r, s, m);
+  return pcs::make_switch({.family = "columnsort", .m = m, .r = r, .s = s});
 }
 std::unique_ptr<sw::ConcentratorSwitch> build_full_revsort(std::size_t n, std::size_t,
                                                            std::size_t) {
-  return std::make_unique<sw::FullRevsortHyper>(n);
+  return pcs::make_switch({"full-revsort", n});
 }
 std::unique_ptr<sw::ConcentratorSwitch> build_full_columnsort(std::size_t r,
                                                               std::size_t s,
                                                               std::size_t) {
-  return std::make_unique<sw::FullColumnsortHyper>(r, s);
+  return pcs::make_switch({.family = "full-columnsort", .r = r, .s = s});
 }
 std::unique_ptr<sw::ConcentratorSwitch> build_multipass(std::size_t r, std::size_t s,
                                                         std::size_t code) {
@@ -193,9 +197,14 @@ std::unique_ptr<sw::ConcentratorSwitch> build_multipass(std::size_t r, std::size
   const std::size_t passes = code >> 33;
   const bool alternating = (code >> 32) & 1;
   const std::size_t m = code & 0xffffffffull;
-  return std::make_unique<sw::MultipassColumnsortSwitch>(
-      r, s, passes, m,
-      alternating ? sw::ReshapeSchedule::kAlternating : sw::ReshapeSchedule::kSame);
+  return pcs::make_switch({.family = "multipass",
+                           .m = m,
+                           .r = r,
+                           .s = s,
+                           .passes = passes,
+                           .schedule = alternating
+                                           ? pcs::plan::ReshapeSchedule::kAlternating
+                                           : pcs::plan::ReshapeSchedule::kSame});
 }
 
 // --- per-family case drivers ----------------------------------------------
@@ -204,6 +213,9 @@ struct CaseContext {
   std::string description;  ///< shape summary for the failure report
   sw::ConcentratorSwitch* sw = nullptr;
   sw::ConcentratorSwitch* baseline = nullptr;  ///< fault-free twin (faulty cases)
+  /// Independent reference routing every pattern must match exactly (the
+  /// hyperconcentrator chip of tests/switch_oracles.hpp for hyper cases).
+  sw::ConcentratorSwitch* oracle = nullptr;
   std::size_t max_fault_loss = 0;              ///< nonzero marks a faulty switch
 };
 
@@ -217,6 +229,9 @@ CaseContext pick_case(std::size_t family, Rng& rng, SwitchCache& cache) {
       const std::size_t m = pick_m(n, rng);
       key << "hyper/" << n << "/" << m;
       ctx.sw = cache.get(key.str(), build_hyper, n, m, 0);
+      ctx.oracle = cache.get("hyper-oracle/" + std::to_string(n) + "/" +
+                                 std::to_string(m),
+                             build_hyper_oracle, n, m, 0);
       break;
     }
     case 1: {  // Revsort partial concentrator
@@ -317,7 +332,7 @@ CaseContext pick_case(std::size_t family, Rng& rng, SwitchCache& cache) {
 /// Compare the composed gate-level circuit against the behavioural m = n
 /// switch on one (valid, data) pair: identical valid arrangement, and every
 /// occupied output position carries its routed input's payload bit.
-bool check_gate_level(const sw::GateLevelSwitchBase& gate,
+bool check_gate_level(const sw::GateLevelSwitch& gate,
                       const sw::ConcentratorSwitch& model, const BitVec& valid,
                       const BitVec& data, core::InvariantReport& report) {
   ++report.checks_run;
@@ -352,7 +367,7 @@ bool run_gate_level_case(std::size_t idx, Rng& rng, SwitchCache& cache,
   // gate counts grow as stages * chips * w^2.
   const bool revsort = idx % 2 == 0;
   std::string key;
-  sw::GateLevelSwitchBase* gate = nullptr;
+  sw::GateLevelSwitch* gate = nullptr;
   sw::ConcentratorSwitch* model = nullptr;
   if (revsort) {
     static constexpr std::size_t kN[] = {16, 64};
@@ -360,7 +375,9 @@ bool run_gate_level_case(std::size_t idx, Rng& rng, SwitchCache& cache,
     key = "gate-revsort/" + std::to_string(n);
     auto it = cache.gates.find(key);
     if (it == cache.gates.end()) {
-      it = cache.gates.emplace(key, std::make_unique<sw::GateLevelRevsortSwitch>(n))
+      it = cache.gates
+               .emplace(key, std::make_unique<sw::GateLevelSwitch>(
+                                 pcs::make_switch_plan({"revsort", n})))
                .first;
     }
     gate = it->second.get();
@@ -373,8 +390,10 @@ bool run_gate_level_case(std::size_t idx, Rng& rng, SwitchCache& cache,
     auto it = cache.gates.find(key);
     if (it == cache.gates.end()) {
       it = cache.gates
-               .emplace(key, std::make_unique<sw::GateLevelColumnsortSwitch>(rs[0],
-                                                                             rs[1]))
+               .emplace(key, std::make_unique<sw::GateLevelSwitch>(
+                                 pcs::make_switch_plan({.family = "columnsort",
+                                                        .r = rs[0],
+                                                        .s = rs[1]})))
                .first;
     }
     gate = it->second.get();
@@ -459,8 +478,8 @@ bool run_legacy_oracle_case(Rng& rng, SwitchCache& cache,
       oracle = [r = rs[0], s = rs[1], passes, m, alternating](const BitVec& v) {
         return pcs::legacy::multipass(v, r, s, passes, m,
                                       alternating
-                                          ? sw::ReshapeSchedule::kAlternating
-                                          : sw::ReshapeSchedule::kSame);
+                                          ? pcs::plan::ReshapeSchedule::kAlternating
+                                          : pcs::plan::ReshapeSchedule::kSame);
       };
       break;
     }
@@ -761,6 +780,30 @@ bool run_fabric_case(Rng& rng, core::InvariantReport& report) {
 
 // --- driver ----------------------------------------------------------------
 
+/// The case's switch routes and nearsorts one pattern exactly as its
+/// independent oracle does.
+bool check_against_oracle(const CaseContext& ctx, const BitVec& valid,
+                          core::InvariantReport& report) {
+  ++report.checks_run;
+  const sw::SwitchRouting got = ctx.sw->route(valid);
+  const sw::SwitchRouting want = ctx.oracle->route(valid);
+  if (got.output_of_input != want.output_of_input ||
+      got.input_of_output != want.input_of_output) {
+    report.add("oracle", ctx.description + " routing diverges from " +
+                             ctx.oracle->name() + " on " +
+                             core::describe_pattern(valid));
+    return false;
+  }
+  if (ctx.sw->nearsorted_valid_bits(valid) !=
+      ctx.oracle->nearsorted_valid_bits(valid)) {
+    report.add("oracle", ctx.description + " nearsorted bits diverge from " +
+                             ctx.oracle->name() + " on " +
+                             core::describe_pattern(valid));
+    return false;
+  }
+  return true;
+}
+
 bool run_case(std::size_t idx, const Options& opt, SwitchCache& cache,
               core::InvariantReport& report) {
   Rng rng(mix(opt.seed ^ idx));
@@ -795,6 +838,7 @@ bool run_case(std::size_t idx, const Options& opt, SwitchCache& cache,
     } else {
       ok = core::check_pattern(*ctx.sw, valid, report);
     }
+    if (ok && ctx.oracle != nullptr) ok = check_against_oracle(ctx, valid, report);
   }
   if (!ok) {
     std::cerr << "FAIL at case " << idx << ": " << ctx.description

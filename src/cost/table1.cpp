@@ -3,7 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "switch/columnsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
@@ -17,11 +17,11 @@ std::vector<Table1Column> table1_columns(std::size_t n, std::size_t m,
   for (double beta : kTable1Betas) {
     // Realize the same shape selection the switch factory uses so that the
     // table matches what would actually be built.
-    auto sw = pcs::sw::ColumnsortSwitch::from_beta(n, beta, m);
+    const plan::SwitchPlan p = make_switch_plan({"columnsort", n, m, beta});
     std::ostringstream hdr;
     hdr << "Columnsort b=" << beta;
     cols.push_back(
-        Table1Column{hdr.str(), columnsort_report(sw.r(), sw.s(), m, dm)});
+        Table1Column{hdr.str(), columnsort_report(p.fp_r, p.fp_s, m, dm)});
   }
   return cols;
 }

@@ -21,11 +21,7 @@ FabricSpec fabric_spec_from(const rt::RuntimeConfig& cfg,
   spec.route = cfg.fabric_route;
   spec.deflect_max = cfg.fabric_deflect_max;
   spec.fault_hop = cfg.fault_hop;
-  spec.node.family = family;
-  spec.node.n = cfg.n;
-  spec.node.m = cfg.m;
-  spec.node.beta = cfg.beta;
-  spec.node.faults = cfg.faults;
+  spec.node = rt::switch_spec_from(cfg, family);
   return spec;
 }
 
@@ -65,7 +61,7 @@ std::unique_ptr<FabricSim> make_fabric_sim(const rt::RuntimeConfig& cfg,
     };
   }
   // The runtime constructs fabrics exclusively through the public
-  // make_fabric entry point, like runtime/config.cpp does for switches.
+  // make_fabric entry point, as it builds switches only through make_switch.
   return pcs::make_fabric(fabric_spec_from(cfg, family),
                           fabric_options_from(cfg), std::move(traffic));
 }

@@ -47,6 +47,14 @@ FabricSim::FabricSim(FabricSpec spec, FabricOptions opts,
   healthy_spec.faults.clear();
   healthy_ = pcs::make_switch(healthy_spec);
   healthy_capacity_ = healthy_->guaranteed_capacity();
+  // A healthy node that guarantees no message per epoch could never move
+  // anything: refuse it here, where its plan compiles once.
+  PCS_REQUIRE(healthy_capacity_ > 0,
+              "FabricSpec.node: plan " << healthy_->name()
+                  << " has zero guaranteed capacity (m="
+                  << healthy_->outputs()
+                  << ", epsilon=" << healthy_->epsilon_bound()
+                  << "); the fabric would deadlock");
   if (!sp.node.faults.empty()) {
     // Only hop `fault_hop` routes the fault-rewritten plan.  Grant budgets
     // everywhere still come from healthy_capacity_: the faulted plan

@@ -74,18 +74,6 @@ void FabricSpec::validate() const {
   PCS_REQUIRE(route == "deterministic" || r <= 64,
               "FabricSpec.radix: adaptive routing supports radix <= 64, got "
                   << r);
-
-  // The node switch must compile to a plan (the fabric routes through the
-  // fused PlanExecutor batch path) and, when healthy, concentrate at least
-  // one message per epoch or the fabric can never move anything.
-  SwitchSpec healthy = node;
-  healthy.faults.clear();
-  plan::SwitchPlan p = make_switch_plan(healthy);
-  PCS_REQUIRE(p.epsilon < p.m,
-              "FabricSpec.node: plan " << p.name
-                  << " has zero guaranteed capacity (m=" << p.m
-                  << ", epsilon=" << p.epsilon
-                  << "); the fabric would deadlock");
 }
 
 SwitchSpec FabricSpec::node_spec_at(std::size_t hop) const {

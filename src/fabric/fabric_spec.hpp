@@ -36,9 +36,10 @@ struct FabricSpec {
   fabric::Topology topology = fabric::Topology::kOmega;
   std::size_t hops = 3;   ///< switch stages a message traverses (>= 1)
   std::size_t radix = 2;  ///< links per node; the destination digit base
-  /// Per-node switch.  Must be a plan family (make_switch_plan succeeds);
-  /// n and m must divide by radix, and the healthy plan must keep a
-  /// positive guaranteed capacity (m - epsilon >= 1) or nothing can move.
+  /// Per-node switch, any family.  n and m must divide by radix, and the
+  /// healthy switch must keep a positive guaranteed capacity
+  /// (m - epsilon >= 1) or nothing can move; FabricSim checks that where
+  /// it builds the node.
   SwitchSpec node;
   std::size_t credits = 8;   ///< per-channel credit pool (downstream VOQ slots)
   std::string alloc = "rr";  ///< VOQ allocator: "rr" | "islip"
@@ -54,8 +55,9 @@ struct FabricSpec {
   std::size_t fault_hop = 0;  ///< hop whose plan receives node.faults
 
   /// Throws ContractViolation naming the offending field (FabricSpec.hops,
-  /// FabricSpec.radix, ...) for every constraint the wiring, the node plan,
-  /// or the routing policy would violate.
+  /// FabricSpec.radix, ...) for every constraint the wiring or the routing
+  /// policy would violate.  Compiles nothing: the node's family and shape
+  /// are checked when FabricSim builds the node switch.
   void validate() const;
 
   /// The switch spec hop `hop` routes: `node` with the fault list kept only

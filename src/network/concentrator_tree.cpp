@@ -1,8 +1,6 @@
 #include "network/concentrator_tree.hpp"
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::net {
@@ -84,9 +82,9 @@ ConcentratorTree make_revsort_tree(std::size_t groups, std::size_t n, std::size_
   std::vector<std::unique_ptr<pcs::sw::ConcentratorSwitch>> level1;
   level1.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    level1.push_back(std::make_unique<pcs::sw::RevsortSwitch>(n, m));
+    level1.push_back(pcs::make_switch({"revsort", n, m}));
   }
-  auto trunk = std::make_unique<pcs::sw::RevsortSwitch>(groups * m, trunk_outputs);
+  auto trunk = pcs::make_switch({"revsort", groups * m, trunk_outputs});
   return ConcentratorTree(std::move(level1), std::move(trunk));
 }
 
@@ -95,13 +93,15 @@ ConcentratorTree make_columnsort_tree(std::size_t groups, std::size_t r, std::si
   std::vector<std::unique_ptr<pcs::sw::ConcentratorSwitch>> level1;
   level1.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    level1.push_back(std::make_unique<pcs::sw::ColumnsortSwitch>(r, s, m));
+    level1.push_back(
+        pcs::make_switch({.family = "columnsort", .m = m, .r = r, .s = s}));
   }
   // Trunk shape: keep the same aspect style, r2 rows = trunk inputs / s.
   const std::size_t trunk_n = groups * m;
   PCS_REQUIRE(trunk_n % s == 0, "make_columnsort_tree trunk width not divisible");
   const std::size_t r2 = trunk_n / s;
-  auto trunk = std::make_unique<pcs::sw::ColumnsortSwitch>(r2, s, trunk_outputs);
+  auto trunk = pcs::make_switch(
+      {.family = "columnsort", .m = trunk_outputs, .r = r2, .s = s});
   return ConcentratorTree(std::move(level1), std::move(trunk));
 }
 
@@ -110,9 +110,9 @@ ConcentratorTree make_hyper_tree(std::size_t groups, std::size_t n, std::size_t 
   std::vector<std::unique_ptr<pcs::sw::ConcentratorSwitch>> level1;
   level1.reserve(groups);
   for (std::size_t g = 0; g < groups; ++g) {
-    level1.push_back(std::make_unique<pcs::sw::HyperSwitch>(n, m));
+    level1.push_back(pcs::make_switch({"hyper", n, m}));
   }
-  auto trunk = std::make_unique<pcs::sw::HyperSwitch>(groups * m, trunk_outputs);
+  auto trunk = pcs::make_switch({"hyper", groups * m, trunk_outputs});
   return ConcentratorTree(std::move(level1), std::move(trunk));
 }
 

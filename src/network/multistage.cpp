@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
@@ -167,7 +166,7 @@ MultistageNetwork::SimStats MultistageNetwork::simulate(double arrival_p,
 
 SwitchFactory hyper_factory() {
   return [](std::size_t inputs, std::size_t outputs) {
-    return std::make_unique<pcs::sw::HyperSwitch>(inputs, outputs);
+    return pcs::make_switch({"hyper", inputs, outputs});
   };
 }
 
@@ -176,9 +175,9 @@ SwitchFactory revsort_or_hyper_factory() {
             std::size_t outputs) -> std::unique_ptr<pcs::sw::ConcentratorSwitch> {
     std::size_t side = isqrt(inputs);
     if (side * side == inputs && is_pow2(side)) {
-      return std::make_unique<pcs::sw::RevsortSwitch>(inputs, outputs);
+      return pcs::make_switch({"revsort", inputs, outputs});
     }
-    return std::make_unique<pcs::sw::HyperSwitch>(inputs, outputs);
+    return pcs::make_switch({"hyper", inputs, outputs});
   };
 }
 

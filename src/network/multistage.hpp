@@ -93,13 +93,13 @@ class MultistageNetwork {
   std::vector<Stage> stages_;
 };
 
-/// Convenience factory: every node is a single-chip HyperSwitch.
+/// Convenience factory: every node is a single-chip "hyper" switch.
 SwitchFactory hyper_factory();
 
 /// Convenience factory: Revsort switches where the shape allows (input
-/// count a square of a power of two), falling back to HyperSwitch
-/// otherwise.  The fallback keeps mixed tiers buildable; real designs size
-/// tiers so the multichip switch fits.
+/// count a square of a power of two), falling back to the single chip
+/// ("hyper") otherwise.  The fallback keeps mixed tiers buildable; real
+/// designs size tiers so the multichip switch fits.
 SwitchFactory revsort_or_hyper_factory();
 
 }  // namespace pcs::net

@@ -10,7 +10,8 @@
 //   hyper   -- the single-chip hyperconcentrator (functional + gate-level)
 //   plan    -- the staged-plan IR every switch family compiles to, plus the
 //              one executor (scalar, batch, fault-rewritten) that runs it
-//   switch  -- the paper's multichip constructions (the core contribution)
+//   switch  -- make_switch (every family as a plan), the gate-level
+//              realization, and the switches that are not chip stages
 //   cost    -- pins / chips / boards / area / volume / delay (Table 1)
 //   traffic -- spatial patterns x injection processes, trace record/replay,
 //              bound-stress search
@@ -60,17 +61,12 @@
 #include "plan/plan_switch.hpp"
 #include "plan/switch_plan.hpp"
 
-#include "switch/chip.hpp"
-#include "switch/columnsort_switch.hpp"
 #include "switch/concentrator.hpp"
-#include "switch/full_sort_hyper.hpp"
 #include "switch/gate_level_switch.hpp"
-#include "switch/hyper_switch.hpp"
 #include "switch/comparator_switch.hpp"
 #include "switch/make_switch.hpp"
-#include "switch/multipass_switch.hpp"
 #include "switch/perfect_from_partial.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/prefix_butterfly_switch.hpp"
 #include "switch/wiring.hpp"
 
 #include "cost/layout.hpp"

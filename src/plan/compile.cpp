@@ -336,4 +336,25 @@ SwitchPlan compile_full_columnsort_plan(std::size_t r, std::size_t s) {
   return plan;
 }
 
+SwitchPlan compile_hyper_plan(std::size_t n, std::size_t m) {
+  PCS_REQUIRE(n >= 1, "compile_hyper_plan n must be positive");
+  PCS_REQUIRE(m >= 1 && m <= n,
+              "compile_hyper_plan m range: m=" << m << " n=" << n);
+  SwitchPlan plan;
+  plan.family = PlanFamily::kHyper;
+  plan.n = n;
+  plan.m = m;
+  plan.epsilon = 0;
+  plan.fully_sorting = true;
+  plan.stages.push_back(input_stage(1, n));
+  plan.stages.back().label = "hyper.s0.chip";
+  plan.readout = identity_readout(n);
+  plan.fast_path = FastPathKind::kHyperScan;
+
+  std::ostringstream os;
+  os << "hyperconcentrator(" << n << "," << m << ")";
+  plan.name = os.str();
+  return plan;
+}
+
 }  // namespace pcs::plan

@@ -3,8 +3,8 @@
 // Each compiler emits the family's fixed hardware as data: stage shapes,
 // inter-stage links (as in_src gathers built from the wiring builders in
 // switch/wiring.hpp), readout order, epsilon bound, and the batch fast-path
-// parameters.  The switch classes in switch/ are thin wrappers holding a
-// PlanExecutor over these plans; PlanSwitch runs any of them (or a
+// parameters.  pcs::make_switch_plan (switch/make_switch.hpp) picks the
+// compiler for a SwitchSpec, and plan::PlanSwitch runs any plan (or a
 // fault-rewritten variant) behind the ConcentratorSwitch interface.
 #pragma once
 
@@ -38,5 +38,10 @@ SwitchPlan compile_full_revsort_plan(std::size_t n);
 /// Section 6 full-sorting Columnsort hyperconcentrator (m = n): all eight
 /// steps, with the shift step as a widened (s+1)-chip stage fed pads.
 SwitchPlan compile_full_columnsort_plan(std::size_t r, std::size_t s);
+
+/// Section 1 single-chip hyperconcentrator: one stage holding one n-wide
+/// chip, identity wiring and readout, epsilon = 0; the n-by-m perfect
+/// concentrator keeps the first m outputs.  n >= 1, 1 <= m <= n.
+SwitchPlan compile_hyper_plan(std::size_t n, std::size_t m);
 
 }  // namespace pcs::plan

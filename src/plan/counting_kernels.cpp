@@ -548,6 +548,21 @@ void columnsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t r,
   }
 }
 
+template <class Sink>
+void hyper_route_kernel(const BitVec& valid, std::size_t m, const Sink& out) {
+  out.clear();
+  std::size_t j = 0;
+  const auto& words = valid.words();
+  for (std::size_t wi = 0; wi < words.size() && j < m; ++wi) {
+    std::uint64_t w = words[wi];
+    while (w != 0 && j < m) {
+      const std::size_t x = wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+      w &= w - 1;
+      out.hit(static_cast<std::uint32_t>(x), j++);
+    }
+  }
+}
+
 // Each kernel body serves both outputs.
 #define PCS_KERNEL_OUTPUTS(Sink)                                              \
   template void revsort_route_kernel(const BitVec&, std::size_t, std::size_t, \
@@ -558,7 +573,8 @@ void columnsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t r,
       const std::vector<std::uint32_t>&, RevsortScratch&, bool, const Sink&); \
   template void columnsort_route_kernel(const BitVec&, std::size_t,           \
                                         std::size_t, std::size_t,             \
-                                        ColumnsortScratch&, const Sink&);
+                                        ColumnsortScratch&, const Sink&);  \
+  template void hyper_route_kernel(const BitVec&, std::size_t, const Sink&);
 PCS_KERNEL_OUTPUTS(RoutingSink)
 PCS_KERNEL_OUTPUTS(MaskSink)
 #undef PCS_KERNEL_OUTPUTS

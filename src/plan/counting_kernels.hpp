@@ -1,9 +1,9 @@
 // The batch counting kernels behind route_batch's fast paths.
 //
-// A fault-free Revsort or Columnsort plan routes a pattern without ever
-// simulating its stages: the staged execution is replayed as pure rank
-// arithmetic on the set bits (DESIGN.md §7).  This header owns every
-// variant of those kernels; the executor picks one per plan and CPU:
+// A fault-free Revsort, Columnsort or single-chip plan routes a pattern
+// without ever simulating its stages: the staged execution is replayed as
+// pure rank arithmetic on the set bits (DESIGN.md §7).  This header owns
+// every variant of those kernels; the executor picks one per plan and CPU:
 //
 //  * revsort_route_kernel -- the scalar kernel, one global counting-sort
 //    pass then one full row walk.  Valid for any power-of-two matrix side
@@ -28,6 +28,9 @@
 //  * columnsort_route_kernel -- one pass over the set bits; the pass is
 //    column-major, so the column index and the per-column fill (mod s) are
 //    running counters -- no division anywhere in the loop.
+//  * hyper_route_kernel -- the single chip is stable, so the j-th valid
+//    input goes to output j: one word scan over the set bits, stopping at
+//    the m-th.
 //
 // Every kernel writes either of two outputs from one body: the full
 // SwitchRouting (both maps), or only the routed-input mask -- bit x set
@@ -174,5 +177,10 @@ template <class Sink>
 void columnsort_route_kernel(const BitVec& valid, std::size_t m, std::size_t r,
                              std::size_t s, ColumnsortScratch& sc,
                              const Sink& out);
+
+/// Single-chip kernel: the first m set bits of `valid`, in order, to
+/// outputs 0..m-1.
+template <class Sink>
+void hyper_route_kernel(const BitVec& valid, std::size_t m, const Sink& out);
 
 }  // namespace pcs::plan

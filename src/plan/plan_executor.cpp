@@ -384,6 +384,18 @@ void PlanExecutor::route_batch_into(const std::vector<BitVec>& valids,
       });
       return;
     }
+    case FastPathKind::kHyperScan: {
+      parallel_for_work(valids.size(), plan_.n, [&](std::size_t lo, std::size_t hi) {
+        obs::SpanGuard span("plan.fastpath.hyper", obs::cat::kBatch);
+        span.arg("patterns", hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) {
+          require_width(i);
+          hyper_route_kernel(valids[i], plan_.m, sink_for(out[i], plan_.n, plan_.m));
+        }
+        trace_fastpath(lo, hi);
+      });
+      return;
+    }
     case FastPathKind::kNone:
       break;
   }

@@ -1,7 +1,8 @@
 // PlanSwitch: any compiled (or fault-rewritten) SwitchPlan behind the
-// ConcentratorSwitch interface.  This is how family-agnostic consumers --
-// the clocked simulator, the runtime, the fuzzer's fault family -- run a
-// plan without knowing which compiler produced it.
+// ConcentratorSwitch interface.  It is the switch pcs::make_switch returns
+// for every family, so every consumer -- the campaign engines, the plan
+// cache, the networks, the benches -- runs a plan without knowing which
+// compiler produced it.
 #pragma once
 
 #include <utility>

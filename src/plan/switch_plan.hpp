@@ -1,9 +1,10 @@
-// The staged-plan IR every multichip switch compiles to.
+// The staged-plan IR every switch family compiles to.
 //
-// All of the paper's multichip constructions are the same shape: an ordered
-// list of *stages*, each stage a row of parallel hyperconcentrator chips,
-// joined by fixed inter-stage wiring.  A SwitchPlan captures that shape as
-// data so one executor (plan_executor.hpp) can route any of the five switch
+// All of the paper's constructions are the same shape: an ordered list of
+// *stages*, each stage a row of parallel hyperconcentrator chips, joined by
+// fixed inter-stage wiring -- Section 1's single-chip hyperconcentrator is
+// the one-stage, one-chip case.  A SwitchPlan captures that shape as data so
+// one executor (plan_executor.hpp) can route any of the six switch
 // families, one rewrite (apply_chip_faults) can inject dead chips into any
 // of them, and one cost walk (cost::plan_report) can derive the Table 1
 // numbers from the exact wiring that gets simulated.
@@ -45,6 +46,7 @@ enum class PlanFamily : unsigned char {
   kMultipass,       ///< Section 6 open question, d passes + final sort
   kFullRevsort,     ///< Section 6 full-sorting Revsort hyperconcentrator
   kFullColumnsort,  ///< Section 6 full-sorting Columnsort (8 steps)
+  kHyper,           ///< Section 1 single hyperconcentrator chip
 };
 
 /// Batch fast-path tag: a counting kernel that is bit-identical to the
@@ -54,10 +56,10 @@ enum class FastPathKind : unsigned char {
   kNone,
   kRevsortCount,     ///< three-stage Revsort counting kernel (+AVX-512)
   kColumnsortCount,  ///< single-pass Columnsort counting kernel
+  kHyperScan,        ///< one-chip word scan: the j-th valid input -> output j
 };
 
-/// Reshape schedule of the multipass switch (re-exported by
-/// switch/multipass_switch.hpp as sw::ReshapeSchedule).
+/// Reshape schedule of the multipass switch.
 enum class ReshapeSchedule : unsigned char {
   kSame,         ///< every pass converts column-major -> row-major
   kAlternating,  ///< odd passes CM -> RM, even passes RM -> CM

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "runtime/metrics.hpp"
-#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::rt {
@@ -132,8 +131,6 @@ void validate(const RuntimeConfig& cfg) {
   for (const std::string& f : split_csv(cfg.family)) {
     PCS_REQUIRE(f == "revsort" || f == "columnsort" || f == "hyper",
                 "unknown switch family '" << f << "'");
-    PCS_REQUIRE(cfg.faults.empty() || f != "hyper",
-                "faults require a plan-compiled family; 'hyper' has no plan");
   }
   PCS_REQUIRE(cfg.arrival == "bernoulli" || cfg.arrival == "exact" ||
                   cfg.arrival == "bursty" || cfg.arrival == "hotspot",
@@ -185,11 +182,6 @@ void validate(const RuntimeConfig& cfg) {
     PCS_REQUIRE(cfg.fabric_hops >= 1, "hops must be >= 1");
     PCS_REQUIRE(cfg.fabric_radix >= 1, "radix must be >= 1");
     PCS_REQUIRE(cfg.fabric_credits >= 1, "credits must be >= 1");
-    for (const std::string& f : split_csv(cfg.family)) {
-      PCS_REQUIRE(f != "hyper",
-                  "fabric campaigns need a plan-compiled family; 'hyper' has "
-                  "no plan");
-    }
   }
 }
 
@@ -365,17 +357,14 @@ RuntimeOptions runtime_options_from(const RuntimeConfig& cfg) {
   return opts;
 }
 
-std::unique_ptr<sw::ConcentratorSwitch> make_switch(const std::string& family,
-                                                    const RuntimeConfig& cfg) {
-  // Thin adapter onto the unified factory: the per-family dispatch (and the
-  // fault rewrite behind PlanSwitch) lives in pcs::make_switch now.
+SwitchSpec switch_spec_from(const RuntimeConfig& cfg, const std::string& family) {
   SwitchSpec spec;
   spec.family = family;
   spec.n = cfg.n;
   spec.m = cfg.m;
   spec.beta = cfg.beta;
   spec.faults = cfg.faults;
-  return pcs::make_switch(spec);
+  return spec;
 }
 
 traffic::TrafficSpec traffic_spec_from(const RuntimeConfig& cfg,

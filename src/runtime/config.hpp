@@ -1,7 +1,7 @@
 // Config-driven construction for the fabric runtime: a small key=value file
 // format (one `key = value` per line, `#` comments) describing the switch
 // family, shape, traffic, queueing discipline, and campaign phases, plus
-// factories that turn a parsed config into the concrete switch and traffic
+// the helpers that turn a parsed config into a SwitchSpec and traffic
 // generators.  pcs_serve (examples/pcs_serve.cpp) is the CLI face; tests
 // drive the same parser so a config that passes them runs everywhere.
 #pragma once
@@ -14,6 +14,7 @@
 #include "plan/switch_plan.hpp"
 #include "runtime/fabric_runtime.hpp"
 #include "switch/concentrator.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/factory.hpp"
 
 namespace pcs::rt {
@@ -26,8 +27,8 @@ struct RuntimeConfig {
   double beta = 0.75;    ///< Columnsort shape parameter (Table 1 continuum)
 
   /// Dead chips to inject: `faults = stage:chip,stage:chip,...`.  Applied
-  /// to the compiled plan via plan::apply_chip_faults, so it works for any
-  /// plan-compiled family (not "hyper").
+  /// to the compiled plan via plan::apply_chip_faults, so it works for
+  /// every family.
   std::vector<plan::ChipFault> faults;
 
   /// Arrival process: bernoulli | exact | bursty | hotspot.  All derive
@@ -166,13 +167,11 @@ CongestionPolicy policy_from_string(const std::string& s);
 /// lifted straight from the config (fabric::fabric_options_from's twin).
 RuntimeOptions runtime_options_from(const RuntimeConfig& cfg);
 
-/// Build one switch of `family` (a single name, not a list) with the
-/// config's shape: revsort -> RevsortSwitch(n, m), columnsort ->
-/// ColumnsortSwitch::from_beta(n, beta, m), hyper -> HyperSwitch(n, m).
-/// With cfg.faults set, revsort/columnsort compile their plan, apply the
-/// faults, and return the fault-rewritten plan behind plan::PlanSwitch.
-std::unique_ptr<sw::ConcentratorSwitch> make_switch(const std::string& family,
-                                                    const RuntimeConfig& cfg);
+/// The SwitchSpec of one switch of `family` (a single name, not a list)
+/// with the config's shape: n, m, beta (columnsort picks r x s from it) and
+/// faults.  pcs::make_switch builds it; every campaign front end (pcs_serve,
+/// pcs_stress, the daemon, fabric nodes) derives its spec here.
+SwitchSpec switch_spec_from(const RuntimeConfig& cfg, const std::string& family);
 
 /// Translate the config's traffic keys into a traffic::TrafficSpec over
 /// `width` wires.  With pattern=/injection= empty the spec derives from

@@ -92,8 +92,12 @@ rt::RuntimeConfig ServeDaemon::resolve(const CampaignRequest& req) const {
   cfg.seed = req.seed;
 
   // The same check a config file or a CLI override gets, so the daemon
-  // refuses exactly what pcs_serve refuses.
+  // refuses exactly what pcs_serve refuses -- except a family list, which
+  // is a pcs_serve sweep: one request runs one campaign of one family.
   rt::validate(cfg);
+  PCS_REQUIRE(rt::split_csv(cfg.family).size() == 1,
+              "a campaign request names exactly one family, got the list '"
+                  << cfg.family << "'");
   return cfg;
 }
 
@@ -151,14 +155,8 @@ CampaignReply ServeDaemon::handle_campaign(const CampaignRequest& req) {
 
     if (!cfg.topology.empty()) return run_fabric_campaign(cfg);
 
-    SwitchSpec spec;
-    spec.family = cfg.family;
-    spec.n = cfg.n;
-    spec.m = cfg.m;
-    spec.beta = cfg.beta;
-    spec.faults = cfg.faults;
-
-    const PlanCache::Checkout co = cache_.checkout(spec);
+    const PlanCache::Checkout co =
+        cache_.checkout(rt::switch_spec_from(cfg, cfg.family));
     global_.counter(co.hit ? "serve.cache.hits" : "serve.cache.misses").add(1);
 
     // The raw pointer into the cache checkout stays valid for the whole

@@ -14,7 +14,6 @@
 #pragma once
 
 #include "sortnet/comparator_net.hpp"
-#include "switch/chip.hpp"
 #include "switch/concentrator.hpp"
 
 namespace pcs::sw {

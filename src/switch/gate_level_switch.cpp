@@ -4,9 +4,7 @@
 
 #include "gates/evaluator.hpp"
 #include "hyper/hyper_circuit.hpp"
-#include "plan/compile.hpp"
 #include "util/assert.hpp"
-#include "util/mathutil.hpp"
 
 namespace pcs::sw {
 
@@ -39,13 +37,12 @@ void instantiate_stage(gates::Circuit& circuit, const gates::Circuit& chip_templ
 
 }  // namespace
 
-void GateLevelSwitchBase::build_from_plan(const plan::SwitchPlan& plan) {
+GateLevelSwitch::GateLevelSwitch(const plan::SwitchPlan& plan) : n_(plan.n) {
   plan.validate();
   const std::size_t n = plan.n;
-  PCS_REQUIRE(n == n_, "build_from_plan width");
   for (const plan::PlanStage& st : plan.stages) {
     PCS_REQUIRE(!st.any_dead(),
-                "build_from_plan: " << plan.name << " has dead chips; the "
+                "GateLevelSwitch: " << plan.name << " has dead chips; the "
                 "gate-level builder realizes fault-free plans only");
   }
 
@@ -59,14 +56,14 @@ void GateLevelSwitchBase::build_from_plan(const plan::SwitchPlan& plan) {
 
   for (const plan::PlanStage& st : plan.stages) {
     PCS_REQUIRE(st.wires() == n,
-                "build_from_plan: " << plan.name << " stage feeds "
+                "GateLevelSwitch: " << plan.name << " stage feeds "
                 << st.wires() << " wires (plan has n=" << n << "); plans with "
                 "pad-widened stages have no gate-level realization here");
     // The inbound link: wire w of this stage is upstream wire in_src[w].
     std::vector<Wire> next(n, Wire{0, 0});
     for (std::size_t w = 0; w < n; ++w) {
       const std::int32_t src = st.in_src[w];
-      PCS_REQUIRE(src >= 0, "build_from_plan: " << plan.name
+      PCS_REQUIRE(src >= 0, "GateLevelSwitch: " << plan.name
                   << " link feeds a constant; not realizable as renaming");
       next[w] = wires[static_cast<std::size_t>(src)];
     }
@@ -83,7 +80,7 @@ void GateLevelSwitchBase::build_from_plan(const plan::SwitchPlan& plan) {
   }
 }
 
-GateLevelResult GateLevelSwitchBase::evaluate(const BitVec& valid,
+GateLevelResult GateLevelSwitch::evaluate(const BitVec& valid,
                                               const BitVec& data) const {
   gates::EvalScratch scratch;
   GateLevelResult res;
@@ -91,7 +88,7 @@ GateLevelResult GateLevelSwitchBase::evaluate(const BitVec& valid,
   return res;
 }
 
-void GateLevelSwitchBase::evaluate(const BitVec& valid, const BitVec& data,
+void GateLevelSwitch::evaluate(const BitVec& valid, const BitVec& data,
                                    gates::EvalScratch& scratch,
                                    GateLevelResult& res) const {
   PCS_REQUIRE(valid.size() == n_ && data.size() == n_, "GateLevelSwitch width");
@@ -112,31 +109,18 @@ void GateLevelSwitchBase::evaluate(const BitVec& valid, const BitVec& data,
   }
 }
 
-std::uint32_t GateLevelSwitchBase::data_path_depth() const {
+std::uint32_t GateLevelSwitch::data_path_depth() const {
   auto depths = circuit_.output_depths_from(data_inputs_);
   std::int64_t best = 0;
   for (std::size_t j = 0; j < n_; ++j) best = std::max(best, depths[j]);
   return static_cast<std::uint32_t>(best);
 }
 
-std::uint32_t GateLevelSwitchBase::control_path_depth() const {
+std::uint32_t GateLevelSwitch::control_path_depth() const {
   auto depths = circuit_.output_depths_from(valid_inputs_);
   std::int64_t best = 0;
   for (std::int64_t d : depths) best = std::max(best, d);
   return static_cast<std::uint32_t>(best);
-}
-
-GateLevelRevsortSwitch::GateLevelRevsortSwitch(std::size_t n)
-    : GateLevelSwitchBase(n) {
-  side_ = isqrt(n);
-  PCS_REQUIRE(side_ * side_ == n && is_pow2(side_), "GateLevelRevsortSwitch shape");
-  build_from_plan(plan::compile_revsort_plan(n, n));
-}
-
-GateLevelColumnsortSwitch::GateLevelColumnsortSwitch(std::size_t r, std::size_t s)
-    : GateLevelSwitchBase(r * s), r_(r), s_(s) {
-  PCS_REQUIRE(s > 0 && r % s == 0, "GateLevelColumnsortSwitch shape");
-  build_from_plan(plan::compile_columnsort_plan(r, s, r * s));
 }
 
 }  // namespace pcs::sw

@@ -9,8 +9,9 @@
 //     3 * 2 lg sqrt(n) = 3 lg n        (Revsort switch),
 //     2 * 2 lg r       = 4 beta lg n   (Columnsort switch),
 // with the O(1) pad terms excluded exactly as the circuits exclude pads.
-// Functional equivalence with the behavioural switches is established by
-// evaluating both on the same inputs (see tests/test_gate_level_switch.cpp).
+// Functional equivalence with the behavioural switches (make_switch on the
+// same spec) is established by evaluating both on the same inputs (see
+// tests/test_gate_level_switch.cpp).
 //
 // Gate counts grow as (stages * chips_per_stage * w^2); keep n modest
 // (<= 1024 for Revsort, r <= 256 for Columnsort) when instantiating.
@@ -22,7 +23,6 @@
 #include "gates/circuit.hpp"
 #include "gates/evaluator.hpp"
 #include "plan/switch_plan.hpp"
-#include "switch/wiring.hpp"
 #include "util/bitvec.hpp"
 
 namespace pcs::sw {
@@ -33,9 +33,15 @@ struct GateLevelResult {
   BitVec valid;  ///< valid bit observed on each of the n output positions
 };
 
-class GateLevelSwitchBase {
+/// Gate-level realization of a compiled plan with purely permutational
+/// links: one HyperCircuit per chip per stage, each inter-stage link as pure
+/// node renaming (the in_src gather), outputs in readout order.  Revsort,
+/// Columnsort, every multipass shape and the single chip all build through
+/// this one walk of the plan's stages; full Columnsort's widened pad stage
+/// and fault-rewritten plans have no realization here and throw.
+class GateLevelSwitch {
  public:
-  virtual ~GateLevelSwitchBase() = default;
+  explicit GateLevelSwitch(const plan::SwitchPlan& plan);
 
   std::size_t n() const noexcept { return n_; }
   const gates::Circuit& circuit() const noexcept { return circuit_; }
@@ -58,58 +64,11 @@ class GateLevelSwitchBase {
 
   std::size_t gate_count() const { return circuit_.gate_count(); }
 
- protected:
-  explicit GateLevelSwitchBase(std::size_t n) : n_(n) {}
-
-  /// Instantiate the plan's stage sequence: one HyperCircuit per chip per
-  /// stage, each inter-stage link as pure node renaming (the in_src
-  /// gather), outputs in readout order.  Requires a fault-free plan whose
-  /// links feed every wire from a real upstream wire (every family except
-  /// full Columnsort's widened pad stage).
-  void build_from_plan(const plan::SwitchPlan& plan);
-
+ private:
   std::size_t n_;
   gates::Circuit circuit_;
   std::vector<gates::NodeId> valid_inputs_;
   std::vector<gates::NodeId> data_inputs_;
-};
-
-/// Gate-level realization of any compiled plan with purely permutational
-/// links: Revsort, Columnsort, and every multipass shape all build through
-/// this one walk of the plan's stages.
-class GateLevelPlanSwitch : public GateLevelSwitchBase {
- public:
-  explicit GateLevelPlanSwitch(const plan::SwitchPlan& plan)
-      : GateLevelSwitchBase(plan.n) {
-    build_from_plan(plan);
-  }
-};
-
-/// Gate-level Revsort switch: three stages of side-by-side chips, transpose
-/// and rev-rotate wiring between them, outputs in row-major order.
-class GateLevelRevsortSwitch : public GateLevelSwitchBase {
- public:
-  /// n = side^2, side a power of two.
-  explicit GateLevelRevsortSwitch(std::size_t n);
-
-  std::size_t side() const noexcept { return side_; }
-
- private:
-  std::size_t side_;
-};
-
-/// Gate-level Columnsort switch: two stages of r-wide chips with the CM->RM
-/// wiring between them, outputs in row-major order.
-class GateLevelColumnsortSwitch : public GateLevelSwitchBase {
- public:
-  GateLevelColumnsortSwitch(std::size_t r, std::size_t s);
-
-  std::size_t r() const noexcept { return r_; }
-  std::size_t s() const noexcept { return s_; }
-
- private:
-  std::size_t r_;
-  std::size_t s_;
 };
 
 }  // namespace pcs::sw

@@ -5,7 +5,6 @@
 
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
-#include "switch/hyper_switch.hpp"
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 
@@ -72,24 +71,20 @@ plan::SwitchPlan make_switch_plan(const SwitchSpec& spec) {
     PCS_REQUIRE(spec.m == 0 || spec.m == spec.r * spec.s,
                 "SwitchSpec full-columnsort is fully sorting: m must be n or 0");
     p = plan::compile_full_columnsort_plan(spec.r, spec.s);
+  } else if (spec.family == "hyper") {
+    p = plan::compile_hyper_plan(spec.n, outputs_or_all(spec, spec.n));
   } else {
     PCS_REQUIRE(false, "SwitchSpec family '"
                            << spec.family
-                           << "' has no staged plan (known plan families: "
-                              "revsort, columnsort, multipass, full-revsort, "
-                              "full-columnsort)");
+                           << "' is unknown (families: revsort, columnsort, "
+                              "multipass, full-revsort, full-columnsort, "
+                              "hyper)");
   }
   if (!spec.faults.empty()) plan::apply_chip_faults(p, spec.faults);
   return p;
 }
 
 std::unique_ptr<sw::ConcentratorSwitch> make_switch(const SwitchSpec& spec) {
-  if (spec.family == "hyper") {
-    PCS_REQUIRE(spec.faults.empty(),
-                "SwitchSpec faults need a plan family; 'hyper' has no plan");
-    return std::make_unique<sw::HyperSwitch>(spec.n,
-                                             outputs_or_all(spec, spec.n));
-  }
   return std::make_unique<plan::PlanSwitch>(make_switch_plan(spec));
 }
 

@@ -1,13 +1,11 @@
 // The one public construction path for every switch in the library.
 //
-// A SwitchSpec names a family and its shape; make_switch() returns the
-// switch behind the ConcentratorSwitch interface, and make_switch_plan()
-// returns the compiled staged plan for the plan-backed families (every
-// family except "hyper", which is a single chip, not a multichip plan).
-// runtime/config.cpp, the examples, and anything outside src/ construct
-// switches exclusively through here -- the per-family classes in switch/
-// remain for code that needs their extra accessors (wiring-literal
-// reference routes, shape getters), not as entry points.
+// A SwitchSpec names a family and its shape.  make_switch_plan() compiles
+// it to a plan::SwitchPlan (every family is stages of hyperconcentrator
+// chips joined by fixed wiring; "hyper" is the one-stage, one-chip case),
+// and make_switch() runs that plan behind the ConcentratorSwitch interface
+// as a plan::PlanSwitch.  Shape facts (chip widths, stage counts, the
+// Columnsort r x s a beta picks) are read off the plan.
 //
 // Families and the shape fields they read:
 //   "revsort"          n, m            (n = side^2, side a power of two)
@@ -16,9 +14,9 @@
 //   "full-revsort"     n               (fully sorting, m = n)
 //   "full-columnsort"  r, s            (fully sorting, m = n)
 //   "hyper"            n, m            (single hyperconcentrator chip)
-// m = 0 means "all n outputs".  `faults` marks dead chips (plan families
-// only): the compiled plan is rewritten via plan::apply_chip_faults, so the
-// returned switch advertises the weakened guarantees.
+// m = 0 means "all n outputs".  `faults` marks dead chips: the compiled
+// plan is rewritten via plan::apply_chip_faults, so the returned switch
+// advertises the weakened guarantees.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +38,7 @@ struct SwitchSpec {
   std::size_t s = 0;   ///< explicit Columnsort-family chip count
   std::size_t passes = 1;  ///< multipass sort+reshape passes
   plan::ReshapeSchedule schedule = plan::ReshapeSchedule::kSame;
-  std::vector<plan::ChipFault> faults;  ///< dead chips (plan families only)
+  std::vector<plan::ChipFault> faults{};  ///< dead chips
 
   /// Stable FNV-1a fingerprint over EVERY spec field (family bytes, shape,
   /// beta bits, passes, schedule, the fault list in order), closed by a
@@ -53,13 +51,11 @@ struct SwitchSpec {
 };
 
 /// Compile the spec's staged plan, faults applied.  Throws ContractViolation
-/// for "hyper" (no plan), unknown families, and out-of-range shapes.
+/// for unknown families and out-of-range shapes.
 plan::SwitchPlan make_switch_plan(const SwitchSpec& spec);
 
-/// Build the switch: plan families run behind plan::PlanSwitch (identical
-/// name, routing, and fast paths as the legacy per-family classes); "hyper"
-/// returns sw::HyperSwitch.  Throws ContractViolation on bad specs,
-/// including faults on "hyper".
+/// Build the switch: plan::PlanSwitch over make_switch_plan(spec).  Throws
+/// ContractViolation on bad specs.
 std::unique_ptr<sw::ConcentratorSwitch> make_switch(const SwitchSpec& spec);
 
 }  // namespace pcs

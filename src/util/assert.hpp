@@ -8,7 +8,7 @@
 //
 // The message argument is a stream expression, built only on failure, so
 // call sites can (and should) include the offending values:
-//   PCS_REQUIRE(m >= 1 && m <= n, "RevsortSwitch m range: m=" << m << " n=" << n);
+//   PCS_REQUIRE(m >= 1 && m <= n, "compile_hyper_plan m range: m=" << m << " n=" << n);
 // A plain string literal still works unchanged.
 #pragma once
 

@@ -2,15 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::msg {
 namespace {
 
 TEST(AckProtocol, LightLoadDeliversAllWithoutRetries) {
-  pcs::sw::HyperSwitch sw(64, 32);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 32}));
   Rng rng(370);
   AckStats stats = simulate_ack_protocol(sw, 0.05, 300, AckConfig{}, rng);
   EXPECT_GT(stats.offered, 400u);
@@ -24,7 +24,9 @@ TEST(AckProtocol, LightLoadDeliversAllWithoutRetries) {
 }
 
 TEST(AckProtocol, OverloadRetriesAndStillConverges) {
-  pcs::sw::HyperSwitch sw(64, 4);  // brutal bottleneck
+  // brutal bottleneck
+  const plan::PlanSwitch sw(
+      make_switch_plan({"hyper", 64, 4}));
   Rng rng(371);
   AckConfig cfg;
   cfg.max_retries = 50;
@@ -38,7 +40,7 @@ TEST(AckProtocol, OverloadRetriesAndStillConverges) {
 TEST(AckProtocol, SlowAcksCauseDuplicates) {
   // Ack slower than the timeout: the sender refires even though the first
   // copy got through -- the protocol's intrinsic duplicate cost.
-  pcs::sw::HyperSwitch sw(16, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 16}));
   Rng rng(372);
   AckConfig cfg;
   cfg.ack_delay = 6;
@@ -51,7 +53,7 @@ TEST(AckProtocol, SlowAcksCauseDuplicates) {
 TEST(AckProtocol, GiveUpAfterMaxRetries) {
   // Zero-capacity path for most senders: m = 1 output, many contenders,
   // tiny retry budget -- some senders must give up.
-  pcs::sw::HyperSwitch sw(32, 1);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 1}));
   Rng rng(373);
   AckConfig cfg;
   cfg.max_retries = 1;
@@ -62,7 +64,7 @@ TEST(AckProtocol, GiveUpAfterMaxRetries) {
 }
 
 TEST(AckProtocol, WorksThroughPartialConcentrator) {
-  pcs::sw::RevsortSwitch sw(256, 128);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 256, 128}));
   Rng rng(374);
   AckStats stats = simulate_ack_protocol(sw, 0.2, 300, AckConfig{}, rng);
   EXPECT_GT(stats.goodput(), 0.98);
@@ -71,7 +73,7 @@ TEST(AckProtocol, WorksThroughPartialConcentrator) {
 }
 
 TEST(AckProtocol, ConfigValidated) {
-  pcs::sw::HyperSwitch sw(8, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 4}));
   Rng rng(375);
   AckConfig cfg;
   cfg.timeout = 0;

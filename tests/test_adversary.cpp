@@ -1,16 +1,15 @@
 #include "core/adversary.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
 
 namespace pcs::core {
 namespace {
 
 TEST(Adversary, MeasuredEpsilonZeroForHyper) {
-  pcs::sw::HyperSwitch sw(32, 32);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 32}));
   Rng rng(250);
   WorstCase wc = worst_epsilon_search(sw, 20, 50, rng);
   EXPECT_EQ(wc.epsilon, 0u);
@@ -19,11 +18,12 @@ TEST(Adversary, MeasuredEpsilonZeroForHyper) {
 
 TEST(Adversary, WorstCaseRespectsTheoremBounds) {
   Rng rng(251);
-  pcs::sw::RevsortSwitch rev(256, 256);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 256, 256}));
   WorstCase wrev = worst_epsilon_search(rev, 30, 100, rng);
   EXPECT_LE(wrev.epsilon, rev.epsilon_bound());
 
-  pcs::sw::ColumnsortSwitch col(64, 8, 512);
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   WorstCase wcol = worst_epsilon_search(col, 30, 100, rng);
   EXPECT_LE(wcol.epsilon, col.epsilon_bound());
 }
@@ -32,7 +32,8 @@ TEST(Adversary, FindsNonTrivialEpsilonOnPartialConcentrators) {
   // The search should exhibit *some* nonsortedness for the Columnsort
   // switch with s > 1 (epsilon bound (s-1)^2 > 0 is achievable in spirit).
   Rng rng(252);
-  pcs::sw::ColumnsortSwitch col(64, 8, 512);
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   WorstCase wc = worst_epsilon_search(col, 40, 200, rng);
   EXPECT_GT(wc.epsilon, 0u);
   // The recorded pattern reproduces the recorded epsilon.
@@ -41,7 +42,7 @@ TEST(Adversary, FindsNonTrivialEpsilonOnPartialConcentrators) {
 }
 
 TEST(Adversary, DeterministicUnderSeed) {
-  pcs::sw::RevsortSwitch sw(64, 64);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 64, 64}));
   Rng a(253), b(253);
   WorstCase wa = worst_epsilon_search(sw, 10, 30, a);
   WorstCase wb = worst_epsilon_search(sw, 10, 30, b);

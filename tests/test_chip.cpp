@@ -1,44 +1,43 @@
-#include "switch/chip.hpp"
-
+// The chip inventory a switch design implies -- hyperconcentrator chips,
+// barrel shifters and their pins -- read off the compiled plan's structural
+// tallies (plan/switch_plan.hpp).
 #include <gtest/gtest.h>
 
-namespace pcs::sw {
+#include "plan/switch_plan.hpp"
+#include "switch/make_switch.hpp"
+
+namespace pcs::plan {
 namespace {
 
 TEST(Chip, BomTotals) {
-  Bom bom;
-  bom.items.push_back(ChipSpec{ChipKind::kHyperconcentrator, 16, 32, 0, 48});
-  bom.items.push_back(ChipSpec{ChipKind::kBarrelShifter, 16, 32, 4, 16});
-  EXPECT_EQ(bom.total_chips(), 64u);
-  EXPECT_EQ(bom.max_pins_per_chip(), 36u);  // shifter: 32 data + 4 control
-  EXPECT_EQ(bom.total_chip_area(), 64u * 256u);
+  // Revsort at n = 256: 48 16-wide hyperconcentrators and 16 shifters.
+  const SwitchPlan p = make_switch_plan({"revsort", 256});
+  EXPECT_EQ(p.board_count(), 48u);
+  EXPECT_EQ(p.shifter_count(), 16u);
+  EXPECT_EQ(p.chip_count(), 64u);
+  EXPECT_EQ(p.max_pins_per_chip(), 36u);  // shifter: 32 data + 4 control
 }
 
 TEST(Chip, EmptyBom) {
-  Bom bom;
-  EXPECT_EQ(bom.total_chips(), 0u);
-  EXPECT_EQ(bom.max_pins_per_chip(), 0u);
-  EXPECT_EQ(bom.total_chip_area(), 0u);
-  EXPECT_EQ(bom.to_string(), "");
-}
-
-TEST(Chip, KindNames) {
-  EXPECT_EQ(chip_kind_name(ChipKind::kHyperconcentrator), "hyperconcentrator");
-  EXPECT_EQ(chip_kind_name(ChipKind::kBarrelShifter), "barrel-shifter");
+  const SwitchPlan p;
+  EXPECT_EQ(p.chip_count(), 0u);
+  EXPECT_EQ(p.shifter_count(), 0u);
+  EXPECT_EQ(p.max_pins_per_chip(), 0u);
 }
 
 TEST(Chip, ToStringListsControlPins) {
-  Bom bom;
-  bom.items.push_back(ChipSpec{ChipKind::kBarrelShifter, 8, 16, 3, 8});
-  std::string s = bom.to_string();
-  EXPECT_NE(s.find("8 x 8-wide barrel-shifter"), std::string::npos);
-  EXPECT_NE(s.find("hardwired control"), std::string::npos);
+  // Revsort at n = 64: the 8-wide shifter stage is named, and its 3
+  // hardwired control pins count in the pin bound.
+  const std::string s = make_switch_plan({"revsort", 64}).summary();
+  EXPECT_NE(s.find("8 x 8-wire hyper + shifter"), std::string::npos);
+  EXPECT_NE(s.find("pins<=19"), std::string::npos);
 }
 
 TEST(Chip, PinsSumsDataAndControl) {
-  ChipSpec c{ChipKind::kBarrelShifter, 8, 16, 3, 1};
-  EXPECT_EQ(c.pins(), 19u);
+  EXPECT_EQ(make_switch_plan({"revsort", 64}).max_pins_per_chip(), 19u);
+  // No shifter: a plain chip has exactly its 2w data pins.
+  EXPECT_EQ(make_switch_plan({"hyper", 8}).max_pins_per_chip(), 16u);
 }
 
 }  // namespace
-}  // namespace pcs::sw
+}  // namespace pcs::plan

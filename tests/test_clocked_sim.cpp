@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -12,7 +11,7 @@ namespace pcs::msg {
 namespace {
 
 TEST(ClockedSim, PayloadsRideEstablishedPaths) {
-  pcs::sw::HyperSwitch sw(8, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 8}));
   Rng rng(190);
   MessageBatch batch = random_batch(BitVec::from_string("01100101"), 12, 2, rng);
   ClockedSimResult result = run_clocked(sw, batch);
@@ -27,7 +26,7 @@ TEST(ClockedSim, PayloadsRideEstablishedPaths) {
 }
 
 TEST(ClockedSim, CongestedMessagesReported) {
-  pcs::sw::HyperSwitch sw(8, 2);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 2}));
   Rng rng(191);
   MessageBatch batch = random_batch(BitVec(8, true), 4, 2, rng);
   ClockedSimResult result = run_clocked(sw, batch);
@@ -38,10 +37,11 @@ TEST(ClockedSim, CongestedMessagesReported) {
 
 TEST(ClockedSim, ThroughMultichipSwitches) {
   Rng rng(192);
-  pcs::sw::RevsortSwitch rev(64, 48);
-  pcs::sw::ColumnsortSwitch col(16, 4, 48);
-  for (pcs::sw::ConcentratorSwitch* sw :
-       std::initializer_list<pcs::sw::ConcentratorSwitch*>{&rev, &col}) {
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 64, 48}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 48, .r = 16, .s = 4}));
+  for (const pcs::sw::ConcentratorSwitch* sw :
+       std::initializer_list<const pcs::sw::ConcentratorSwitch*>{&rev, &col}) {
     for (int trial = 0; trial < 10; ++trial) {
       BitVec valid = rng.bernoulli_bits(64, 0.4);
       MessageBatch batch = random_batch(valid, 20, 8, rng);
@@ -59,7 +59,7 @@ TEST(ClockedSim, ThroughMultichipSwitches) {
 }
 
 TEST(ClockedSim, EmptyBatchIsFine) {
-  pcs::sw::HyperSwitch sw(4, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 4, 4}));
   MessageBatch batch(4);
   ClockedSimResult result = run_clocked(sw, batch);
   EXPECT_TRUE(result.delivered.empty());
@@ -68,7 +68,7 @@ TEST(ClockedSim, EmptyBatchIsFine) {
 }
 
 TEST(ClockedSim, MixedPayloadLengthsRejected) {
-  pcs::sw::HyperSwitch sw(4, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 4, 4}));
   MessageBatch batch(4);
   Message a;
   a.source = 0;
@@ -82,7 +82,7 @@ TEST(ClockedSim, MixedPayloadLengthsRejected) {
 }
 
 TEST(ClockedSim, WidthMismatchRejected) {
-  pcs::sw::HyperSwitch sw(4, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 4, 4}));
   MessageBatch batch(5);
   EXPECT_THROW(run_clocked(sw, batch), pcs::ContractViolation);
 }

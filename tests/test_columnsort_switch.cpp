@@ -1,48 +1,63 @@
-#include "switch/columnsort_switch.hpp"
-
+// The Columnsort switch (Section 5) as make_switch builds it.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "plan/compile.hpp"
 #include "sortnet/columnsort.hpp"
 #include "sortnet/nearsort.hpp"
+#include "switch/make_switch.hpp"
+#include "switch_oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
 namespace {
 
+SwitchSpec columnsort_spec(std::size_t r, std::size_t s, std::size_t m) {
+  return {.family = "columnsort", .m = m, .r = r, .s = s};
+}
+
+std::unique_ptr<ConcentratorSwitch> columnsort(std::size_t r, std::size_t s,
+                                               std::size_t m) {
+  return make_switch(columnsort_spec(r, s, m));
+}
+
+/// The plan a beta picks on n wires, as make_switch builds it.
+plan::SwitchPlan beta_plan(std::size_t n, double beta, std::size_t m) {
+  return make_switch_plan({"columnsort", n, m, beta});
+}
+
 TEST(ColumnsortSwitch, ShapeValidation) {
-  EXPECT_NO_THROW(ColumnsortSwitch(16, 4, 32));
-  EXPECT_THROW(ColumnsortSwitch(10, 4, 20), pcs::ContractViolation);  // 4 !| 10
-  EXPECT_THROW(ColumnsortSwitch(16, 4, 0), pcs::ContractViolation);
-  EXPECT_THROW(ColumnsortSwitch(16, 4, 65), pcs::ContractViolation);
+  EXPECT_NO_THROW(columnsort(16, 4, 32));
+  EXPECT_THROW(columnsort(10, 4, 20), pcs::ContractViolation);  // 4 !| 10
+  EXPECT_THROW(plan::compile_columnsort_plan(16, 4, 0), pcs::ContractViolation);
+  EXPECT_THROW(columnsort(16, 4, 65), pcs::ContractViolation);
 }
 
 TEST(ColumnsortSwitch, FromBetaShapes) {
   // n = 4096, lg n = 12.
-  auto half = ColumnsortSwitch::from_beta(4096, 0.5, 2048);
-  EXPECT_EQ(half.r(), 64u);
-  EXPECT_EQ(half.s(), 64u);
-  auto five8 = ColumnsortSwitch::from_beta(4096, 0.625, 2048);
-  EXPECT_EQ(five8.r(), 256u);  // e = lround(0.625 * 12) = 8
-  auto three4 = ColumnsortSwitch::from_beta(4096, 0.75, 2048);
-  EXPECT_EQ(three4.r(), 512u);  // e = 9
-  auto one = ColumnsortSwitch::from_beta(4096, 1.0, 2048);
-  EXPECT_EQ(one.r(), 4096u);
-  EXPECT_EQ(one.s(), 1u);
-  EXPECT_THROW(ColumnsortSwitch::from_beta(4096, 0.3, 10), pcs::ContractViolation);
-  EXPECT_THROW(ColumnsortSwitch::from_beta(100, 0.5, 10), pcs::ContractViolation);
+  const plan::SwitchPlan half = beta_plan(4096, 0.5, 2048);
+  EXPECT_EQ(half.fp_r, 64u);
+  EXPECT_EQ(half.fp_s, 64u);
+  EXPECT_EQ(beta_plan(4096, 0.625, 2048).fp_r, 256u);  // e = lround(0.625 * 12) = 8
+  EXPECT_EQ(beta_plan(4096, 0.75, 2048).fp_r, 512u);  // e = 9
+  const plan::SwitchPlan one = beta_plan(4096, 1.0, 2048);
+  EXPECT_EQ(one.fp_r, 4096u);
+  EXPECT_EQ(one.fp_s, 1u);
+  EXPECT_THROW(beta_plan(4096, 0.3, 10), pcs::ContractViolation);
+  EXPECT_THROW(beta_plan(100, 0.5, 10), pcs::ContractViolation);
 }
 
 TEST(ColumnsortSwitch, BetaAccessorConsistent) {
-  auto sw = ColumnsortSwitch::from_beta(4096, 0.75, 100);
-  EXPECT_NEAR(sw.beta(), 0.75, 0.05);
+  const plan::SwitchPlan p = beta_plan(4096, 0.75, 100);
+  EXPECT_NEAR(std::log2(static_cast<double>(p.fp_r)) / std::log2(4096.0), 0.75,
+              0.05);
 }
 
 TEST(ColumnsortSwitch, EpsilonBoundMatchesTheorem4) {
-  ColumnsortSwitch sw(16, 4, 32);
-  EXPECT_EQ(sw.epsilon_bound(), 9u);  // (4-1)^2
-  ColumnsortSwitch sw2(64, 8, 256);
-  EXPECT_EQ(sw2.epsilon_bound(), 49u);
+  EXPECT_EQ(columnsort(16, 4, 32)->epsilon_bound(), 9u);  // (4-1)^2
+  EXPECT_EQ(columnsort(64, 8, 256)->epsilon_bound(), 49u);
 }
 
 class ColumnsortWiringEquivalence
@@ -50,12 +65,13 @@ class ColumnsortWiringEquivalence
 
 TEST_P(ColumnsortWiringEquivalence, RouteEqualsRouteViaWiring) {
   auto [r, s] = GetParam();
-  ColumnsortSwitch sw(r, s, (r * s) / 2);
+  const auto sw = columnsort(r, s, (r * s) / 2);
+  const oracle::ColumnsortWiring wiring(r, s, (r * s) / 2);
   Rng rng(150 + r + s);
   for (int trial = 0; trial < 25; ++trial) {
     BitVec valid = rng.bernoulli_bits(r * s, rng.uniform01());
-    SwitchRouting a = sw.route(valid);
-    SwitchRouting b = sw.route_via_wiring(valid);
+    SwitchRouting a = sw->route(valid);
+    SwitchRouting b = wiring.route(valid);
     EXPECT_EQ(a.output_of_input, b.output_of_input) << "trial " << trial;
     EXPECT_EQ(a.input_of_output, b.input_of_output) << "trial " << trial;
   }
@@ -75,13 +91,13 @@ class ColumnsortEpsilon
 TEST_P(ColumnsortEpsilon, MeasuredWithinBound) {
   auto [r, s] = GetParam();
   const std::size_t n = r * s;
-  ColumnsortSwitch sw(r, s, n);
+  const auto sw = columnsort(r, s, n);
   Rng rng(151 + r + s);
   for (int trial = 0; trial < 40; ++trial) {
     BitVec valid = rng.bernoulli_bits(n, rng.uniform01());
-    BitVec arrangement = sw.nearsorted_valid_bits(valid);
+    BitVec arrangement = sw->nearsorted_valid_bits(valid);
     EXPECT_EQ(arrangement.count(), valid.count());
-    EXPECT_LE(sortnet::min_nearsort_epsilon(arrangement), sw.epsilon_bound())
+    EXPECT_LE(sortnet::min_nearsort_epsilon(arrangement), sw->epsilon_bound())
         << "r=" << r << " s=" << s << " trial=" << trial;
   }
 }
@@ -97,12 +113,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ColumnsortSwitch, ConcentrationContractAcrossLoads) {
   const std::size_t r = 64, s = 8, n = r * s;
   for (std::size_t m : {128u, 256u, 400u, 512u}) {
-    ColumnsortSwitch sw(r, s, m);
+    const auto sw = columnsort(r, s, m);
     Rng rng(152 + m);
     for (std::size_t k = 0; k <= n; k += 29) {
       BitVec valid = rng.exact_weight_bits(n, k);
-      SwitchRouting routing = sw.route(valid);
-      EXPECT_TRUE(concentration_contract_holds(sw, valid, routing))
+      SwitchRouting routing = sw->route(valid);
+      EXPECT_TRUE(concentration_contract_holds(*sw, valid, routing))
           << "m=" << m << " k=" << k;
     }
   }
@@ -110,7 +126,7 @@ TEST(ColumnsortSwitch, ConcentrationContractAcrossLoads) {
 
 TEST(ColumnsortSwitch, MeshAgreesWithSortnetAlgorithm2) {
   const std::size_t r = 16, s = 4, n = r * s;
-  ColumnsortSwitch sw(r, s, n);
+  const auto sw = columnsort(r, s, n);
   Rng rng(153);
   for (int trial = 0; trial < 20; ++trial) {
     BitVec valid = rng.bernoulli_bits(n, 0.5);
@@ -119,7 +135,7 @@ TEST(ColumnsortSwitch, MeshAgreesWithSortnetAlgorithm2) {
       m.set(x % r, x / r, valid.get(x));
     }
     sortnet::columnsort_algorithm2(m);
-    EXPECT_EQ(sw.nearsorted_valid_bits(valid), m.to_row_major());
+    EXPECT_EQ(sw->nearsorted_valid_bits(valid), m.to_row_major());
   }
 }
 
@@ -127,22 +143,21 @@ TEST(ColumnsortSwitch, BetaOneIsAlmostSingleChip) {
   // beta = 1: one column (s = 1), epsilon = 0 -- it degenerates to a pair of
   // full-width hyperconcentrators and routes perfectly.
   const std::size_t n = 64;
-  ColumnsortSwitch sw(n, 1, n / 2);
-  EXPECT_EQ(sw.epsilon_bound(), 0u);
+  const auto sw = columnsort(n, 1, n / 2);
+  EXPECT_EQ(sw->epsilon_bound(), 0u);
   Rng rng(154);
   for (std::size_t k = 0; k <= n; k += 7) {
     BitVec valid = rng.exact_weight_bits(n, k);
-    SwitchRouting routing = sw.route(valid);
+    SwitchRouting routing = sw->route(valid);
     EXPECT_EQ(routing.routed_count(), std::min<std::size_t>(k, n / 2));
   }
 }
 
 TEST(ColumnsortSwitch, BillOfMaterials) {
-  ColumnsortSwitch sw(64, 8, 256);
-  Bom bom = sw.bill_of_materials();
-  EXPECT_EQ(bom.total_chips(), 16u);           // 2s
-  EXPECT_EQ(bom.max_pins_per_chip(), 128u);    // 2r
-  EXPECT_EQ(ColumnsortSwitch::kChipPasses, 2u);
+  const plan::SwitchPlan p = make_switch_plan(columnsort_spec(64, 8, 256));
+  EXPECT_EQ(p.chip_count(), 16u);           // 2s
+  EXPECT_EQ(p.max_pins_per_chip(), 128u);   // 2r
+  EXPECT_EQ(p.chip_passes(), 2u);
 }
 
 }  // namespace

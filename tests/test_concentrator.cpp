@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/hyper_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch/prefix_butterfly_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
@@ -24,13 +26,13 @@ TEST(SwitchRouting, PartialInjectionChecks) {
 }
 
 TEST(ConcentratorSwitch, LoadRatioFromEpsilon) {
-  HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   EXPECT_DOUBLE_EQ(sw.load_ratio_bound(), 1.0);
   EXPECT_EQ(sw.guaranteed_capacity(), 8u);
 }
 
 TEST(ConcentratorSwitch, ContractCheckerOnPerfectSwitch) {
-  HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   Rng rng(130);
   for (std::size_t k = 0; k <= 16; ++k) {
     BitVec valid = rng.exact_weight_bits(16, k);
@@ -42,16 +44,15 @@ TEST(ConcentratorSwitch, ContractCheckerOnPerfectSwitch) {
 }
 
 TEST(ConcentratorSwitch, HyperSwitchNameAndBom) {
-  HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   EXPECT_EQ(sw.name(), "hyperconcentrator(16,8)");
-  Bom bom = sw.bill_of_materials();
-  EXPECT_EQ(bom.total_chips(), 1u);
-  EXPECT_EQ(bom.max_pins_per_chip(), 32u);  // 2n data pins
-  EXPECT_EQ(bom.total_chip_area(), 256u);
+  EXPECT_EQ(sw.plan().chip_count(), 1u);
+  EXPECT_EQ(sw.plan().max_pins_per_chip(), 32u);  // 2n data pins
+  EXPECT_EQ(sw.plan().area_2d(), 256u);           // one chip, no links
 }
 
 TEST(ConcentratorSwitch, HyperSwitchRoutesToFirstOutputsOnly) {
-  HyperSwitch sw(8, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 4}));
   SwitchRouting r = sw.route(BitVec::from_string("00111100"));
   // Inputs 2,3,4,5 valid; only the first 4 outputs exist; all routed.
   EXPECT_EQ(r.routed_count(), 4u);
@@ -67,7 +68,7 @@ TEST(ConcentratorSwitch, HyperSwitchRoutesToFirstOutputsOnly) {
 
 TEST(ConcentratorSwitch, PrefixButterflyAdapterMatchesHyperSwitch) {
   PrefixButterflyHyperSwitch pb(32, 16);
-  HyperSwitch hs(32, 16);
+  const plan::PlanSwitch hs(make_switch_plan({"hyper", 32, 16}));
   Rng rng(131);
   for (int t = 0; t < 25; ++t) {
     BitVec valid = rng.bernoulli_bits(32, rng.uniform01());

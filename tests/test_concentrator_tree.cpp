@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/hyper_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -71,8 +71,8 @@ TEST(ConcentratorTree, ColumnsortTreeBuilds) {
 
 TEST(ConcentratorTree, WidthMismatchRejected) {
   std::vector<std::unique_ptr<pcs::sw::ConcentratorSwitch>> level1;
-  level1.push_back(std::make_unique<pcs::sw::HyperSwitch>(16, 8));
-  auto trunk = std::make_unique<pcs::sw::HyperSwitch>(10, 5);  // wrong width
+  level1.push_back(pcs::make_switch({"hyper", 16, 8}));
+  auto trunk = pcs::make_switch({"hyper", 10, 5});  // wrong width
   EXPECT_THROW(ConcentratorTree(std::move(level1), std::move(trunk)),
                pcs::ContractViolation);
 }

@@ -6,10 +6,10 @@
 // the backlog left when the last epoch ends.
 #include <gtest/gtest.h>
 
+#include "plan/plan_switch.hpp"
 #include "runtime/config.hpp"
 #include "runtime/fabric_runtime.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/factory.hpp"
 
 namespace pcs::rt {
@@ -55,7 +55,7 @@ TEST(Congestion, PolicyNames) {
 
 TEST(Congestion, LightLoadDeliversEverything) {
   // Offered load well under the switch capacity: all policies deliver all.
-  sw::HyperSwitch sw(64, 32);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 32}));
   for (CongestionPolicy p : kPolicies) {
     MetricsRegistry m;
     run_rounds(sw, 0.1, 200, p, 200, m);
@@ -66,7 +66,9 @@ TEST(Congestion, LightLoadDeliversEverything) {
 }
 
 TEST(Congestion, OverloadDropsOnlyUnderDropPolicy) {
-  sw::HyperSwitch sw(64, 8);  // heavy overload: 64 wires, 8 outputs
+  // heavy overload: 64 wires, 8 outputs
+  const plan::PlanSwitch sw(
+      make_switch_plan({"hyper", 64, 8}));
   MetricsRegistry drop;
   run_rounds(sw, 0.9, 100, CongestionPolicy::kDrop, 201, drop);
   EXPECT_GT(count(drop, "dropped"), 0u);
@@ -81,7 +83,7 @@ TEST(Congestion, OverloadDropsOnlyUnderDropPolicy) {
 
 TEST(Congestion, ThroughputCappedByOutputs) {
   // Delivered messages per round cannot exceed the output count.
-  sw::HyperSwitch sw(32, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 4}));
   MetricsRegistry m;
   run_rounds(sw, 1.0, 50, CongestionPolicy::kBufferRetry, 202, m);
   EXPECT_LE(count(m, "delivered"), 50u * 4u);
@@ -90,7 +92,9 @@ TEST(Congestion, ThroughputCappedByOutputs) {
 }
 
 TEST(Congestion, PartialConcentratorLosesOnlyBeyondCapacity) {
-  sw::RevsortSwitch sw(64, 64);  // capacity 64 - 40 = 24
+  // capacity 64 - 40 = 24
+  const plan::PlanSwitch sw(
+      make_switch_plan({"revsort", 64, 64}));
   MetricsRegistry m;
   run_rounds(sw, 0.2, 200, CongestionPolicy::kBufferRetry, 203, m);
   // 0.2 * 64 = ~13 arrivals/round < capacity 24: queue stays small and
@@ -103,7 +107,7 @@ TEST(Congestion, MisrouteKeepsMessagesAlive) {
   // With one slot per wire, a loser's own queue is empty again when it
   // re-enters, so a misrouted message always finds room and is never an
   // overflow drop.
-  sw::HyperSwitch sw(16, 2);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 2}));
   MetricsRegistry m;
   run_rounds(sw, 0.8, 150, CongestionPolicy::kMisrouteRetry, 204, m);
   EXPECT_EQ(count(m, "dropped"), 0u);
@@ -113,7 +117,7 @@ TEST(Congestion, MisrouteKeepsMessagesAlive) {
 }
 
 TEST(Congestion, LatencyHistogramAgreesWithScalarAggregates) {
-  sw::HyperSwitch sw(64, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 8}));
   for (CongestionPolicy p : kPolicies) {
     MetricsRegistry m;
     run_rounds(sw, 0.6, 120, p, 206, m);
@@ -129,7 +133,7 @@ TEST(Congestion, LatencyHistogramAgreesWithScalarAggregates) {
 TEST(Congestion, RetryPoliciesHaveALatencyTailUnderOverload) {
   // Under retry policies mean latency is not the whole story: the
   // histogram exposes the tail the mean hides.
-  sw::HyperSwitch sw(64, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 4}));
   MetricsRegistry m;
   run_rounds(sw, 0.8, 150, CongestionPolicy::kBufferRetry, 207, m);
   const Histogram& latency = m.histogram("latency_epochs");
@@ -143,7 +147,9 @@ TEST(Congestion, RetryPoliciesHaveALatencyTailUnderOverload) {
 // switch has outputs; exact conservation (nothing created or destroyed
 // except by explicit drop) must hold for every policy.
 TEST(Congestion, SustainedOverloadConservationAllPolicies) {
-  sw::HyperSwitch sw(32, 8);  // k = 32 presented > m = 8 every round
+  // k = 32 presented > m = 8 every round
+  const plan::PlanSwitch sw(
+      make_switch_plan({"hyper", 32, 8}));
   for (CongestionPolicy p : kPolicies) {
     MetricsRegistry m;
     run_rounds(sw, 1.0, 100, p, 208, m);
@@ -166,7 +172,9 @@ TEST(Congestion, SustainedOverloadConservationAllPolicies) {
 TEST(Congestion, SustainedOverloadPartialConcentratorConservation) {
   // Same sustained overload through a real multichip partial concentrator
   // (epsilon > 0), where routed count per round can drop below m.
-  sw::RevsortSwitch sw(256, 64);  // epsilon 112 > m: no guarantee at all
+  // epsilon 112 > m: no guarantee at all
+  const plan::PlanSwitch sw(
+      make_switch_plan({"revsort", 256, 64}));
   for (CongestionPolicy p : kPolicies) {
     MetricsRegistry m;
     run_rounds(sw, 1.0, 40, p, 209, m);
@@ -179,7 +187,7 @@ TEST(Congestion, SustainedOverloadPartialConcentratorConservation) {
 }
 
 TEST(Congestion, ZeroArrivalsProduceNoTraffic) {
-  sw::HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   MetricsRegistry m;
   run_rounds(sw, 0.0, 50, CongestionPolicy::kDrop, 205, m);
   EXPECT_EQ(count(m, "offered"), 0u);

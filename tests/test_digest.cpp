@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs {
@@ -36,8 +36,9 @@ TEST(Digest, SlotVectors) {
 // behaviour change breaks them, update the constants alongside the change.
 TEST(Digest, GoldenRoutingDigests) {
   Rng rng(0xD1CE);
-  pcs::sw::RevsortSwitch rev(256, 192);
-  pcs::sw::ColumnsortSwitch col(64, 4, 192);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 256, 192}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 192, .r = 64, .s = 4}));
   Digest d;
   for (int t = 0; t < 20; ++t) {
     BitVec valid = rng.bernoulli_bits(256, 0.5);

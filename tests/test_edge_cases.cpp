@@ -4,10 +4,9 @@
 #include "hyper/hyper_circuit.hpp"
 #include "label_mesh.hpp"
 #include "network/multistage.hpp"
+#include "plan/plan_switch.hpp"
 #include "runtime/fabric_runtime.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "switch/wiring.hpp"
 #include "traffic/traffic_source.hpp"
 #include "util/assert.hpp"
@@ -56,7 +55,7 @@ TEST(EdgeCases, HyperCircuitEmptyAndFull) {
 }
 
 TEST(EdgeCases, FullSorterArrangementIsSorted) {
-  sw::FullRevsortHyper sw(64);
+  const plan::PlanSwitch sw(make_switch_plan({"full-revsort", 64}));
   Rng rng(441);
   for (int t = 0; t < 10; ++t) {
     BitVec valid = rng.bernoulli_bits(64, rng.uniform01());
@@ -67,7 +66,7 @@ TEST(EdgeCases, FullSorterArrangementIsSorted) {
 TEST(EdgeCases, MisroutePolicyWithEverythingBusy) {
   // All wires saturated, one queue slot each: every misrouted loser must
   // find a wire again (its own slot has just emptied), never overflow.
-  sw::HyperSwitch sw(8, 1);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 1}));
   rt::RuntimeOptions opts;
   opts.queue_depth = 1;
   opts.policy = rt::CongestionPolicy::kMisrouteRetry;
@@ -101,7 +100,7 @@ TEST(EdgeCases, TrafficValidation) {
 TEST(EdgeCases, SingleLevelMultistageEqualsItsSwitch) {
   net::MultistageNetwork netw(16, {net::MultistageNetwork::LevelSpec{16, 8}},
                               net::hyper_factory());
-  sw::HyperSwitch direct(16, 8);
+  const plan::PlanSwitch direct(make_switch_plan({"hyper", 16, 8}));
   Rng rng(444);
   for (int t = 0; t < 10; ++t) {
     BitVec valid = rng.bernoulli_bits(16, 0.6);
@@ -123,7 +122,7 @@ TEST(EdgeCases, WiringOnTinySides) {
 
 TEST(EdgeCases, RevsortSwitchMinimumSize) {
   // n = 4 (side 2) is the smallest legal Revsort switch.
-  sw::RevsortSwitch sw(4, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 4, 4}));
   for (std::uint32_t p = 0; p < 16; ++p) {
     BitVec valid(4);
     for (std::size_t i = 0; i < 4; ++i) valid.set(i, (p >> i) & 1u);
@@ -135,7 +134,7 @@ TEST(EdgeCases, RevsortSwitchMinimumSize) {
 
 TEST(EdgeCases, HyperSwitchFullWidthIdentityOnSorted) {
   // An already-sorted valid pattern routes input i to output i.
-  sw::HyperSwitch sw(8, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 8, 8}));
   BitVec valid = BitVec::from_string("11110000");
   auto r = sw.route(valid);
   for (std::size_t i = 0; i < 4; ++i) {

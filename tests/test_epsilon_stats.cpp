@@ -2,16 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::core {
 namespace {
 
 TEST(EpsilonStats, PercentilesOrdered) {
-  pcs::sw::RevsortSwitch sw(256, 256);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 256, 256}));
   Rng rng(320);
   EpsilonStats s = collect_epsilon_stats(sw, 200, 0.5, rng);
   EXPECT_EQ(s.samples, 200u);
@@ -24,7 +23,7 @@ TEST(EpsilonStats, PercentilesOrdered) {
 }
 
 TEST(EpsilonStats, HyperIsAlwaysZero) {
-  pcs::sw::HyperSwitch sw(64, 64);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 64}));
   Rng rng(321);
   EpsilonStats s = collect_epsilon_stats(sw, 100, 0.5, rng);
   EXPECT_EQ(s.max, 0u);
@@ -32,7 +31,8 @@ TEST(EpsilonStats, HyperIsAlwaysZero) {
 }
 
 TEST(EpsilonStats, MaxWithinTheoremBound) {
-  pcs::sw::ColumnsortSwitch sw(64, 8, 512);
+  const plan::PlanSwitch sw(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   Rng rng(322);
   for (double d : {0.2, 0.5, 0.8}) {
     EpsilonStats s = collect_epsilon_stats(sw, 150, d, rng);
@@ -41,7 +41,7 @@ TEST(EpsilonStats, MaxWithinTheoremBound) {
 }
 
 TEST(EpsilonStats, SweepReturnsOnePerDensity) {
-  pcs::sw::RevsortSwitch sw(64, 64);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 64, 64}));
   Rng rng(323);
   auto sweep = epsilon_stats_sweep(sw, 50, {0.1, 0.5, 0.9}, rng);
   ASSERT_EQ(sweep.size(), 3u);
@@ -51,7 +51,7 @@ TEST(EpsilonStats, SweepReturnsOnePerDensity) {
 
 TEST(EpsilonStats, ExtremeDensitiesNearlySorted) {
   // Nearly-empty and nearly-full meshes are almost sorted already.
-  pcs::sw::RevsortSwitch sw(256, 256);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 256, 256}));
   Rng rng(324);
   EpsilonStats sparse = collect_epsilon_stats(sw, 100, 0.02, rng);
   EpsilonStats half = collect_epsilon_stats(sw, 100, 0.5, rng);
@@ -59,7 +59,7 @@ TEST(EpsilonStats, ExtremeDensitiesNearlySorted) {
 }
 
 TEST(EpsilonStats, TrialsValidated) {
-  pcs::sw::HyperSwitch sw(16, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 16}));
   Rng rng(325);
   EXPECT_THROW(collect_epsilon_stats(sw, 0, 0.5, rng), pcs::ContractViolation);
 }

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "core/lemmas.hpp"
+#include "plan/plan_switch.hpp"
 #include "sortnet/nearsort.hpp"
-#include "switch/columnsort_switch.hpp"
 #include "switch/comparator_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch_oracles.hpp"
 
 namespace pcs::sw {
 namespace {
@@ -24,8 +24,8 @@ BitVec pattern_bits(std::uint32_t pattern, std::size_t n) {
 
 TEST(ExhaustiveSmall, RevsortSwitchAllPatterns) {
   const std::size_t n = 16;
-  RevsortSwitch full(n, n);
-  RevsortSwitch cut(n, 10);
+  const plan::PlanSwitch full(make_switch_plan({"revsort", n, n}));
+  const plan::PlanSwitch cut(make_switch_plan({"revsort", n, 10}));
   for (std::uint32_t p = 0; p < (1u << n); ++p) {
     BitVec valid = pattern_bits(p, n);
     // Epsilon bound (Theorem 3) on every pattern.
@@ -40,19 +40,22 @@ TEST(ExhaustiveSmall, RevsortSwitchAllPatterns) {
 
 TEST(ExhaustiveSmall, RevsortWiringEquivalenceAllPatterns) {
   const std::size_t n = 16;
-  RevsortSwitch sw(n, 12);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", n, 12}));
+  const oracle::RevsortWiring wiring(n, 12);
   for (std::uint32_t p = 0; p < (1u << n); ++p) {
     BitVec valid = pattern_bits(p, n);
     ASSERT_EQ(sw.route(valid).output_of_input,
-              sw.route_via_wiring(valid).output_of_input)
+              wiring.route(valid).output_of_input)
         << p;
   }
 }
 
 TEST(ExhaustiveSmall, ColumnsortSwitchAllPatterns) {
   // r = 8, s = 2: epsilon bound (s-1)^2 = 1.
-  ColumnsortSwitch sw(8, 2, 16);
-  ColumnsortSwitch cut(8, 2, 9);
+  const plan::PlanSwitch sw(
+      make_switch_plan({.family = "columnsort", .m = 16, .r = 8, .s = 2}));
+  const plan::PlanSwitch cut(
+      make_switch_plan({.family = "columnsort", .m = 9, .r = 8, .s = 2}));
   for (std::uint32_t p = 0; p < (1u << 16); ++p) {
     BitVec valid = pattern_bits(p, 16);
     BitVec arr = sw.nearsorted_valid_bits(valid);
@@ -63,8 +66,9 @@ TEST(ExhaustiveSmall, ColumnsortSwitchAllPatterns) {
 }
 
 TEST(ExhaustiveSmall, FullSortersAllPatterns) {
-  FullRevsortHyper rev(16);
-  FullColumnsortHyper col(8, 2);
+  const plan::PlanSwitch rev(make_switch_plan({"full-revsort", 16}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "full-columnsort", .r = 8, .s = 2}));
   for (std::uint32_t p = 0; p < (1u << 16); ++p) {
     BitVec valid = pattern_bits(p, 16);
     const std::size_t k = valid.count();
@@ -81,7 +85,8 @@ TEST(ExhaustiveSmall, FullSortersAllPatterns) {
 }
 
 TEST(ExhaustiveSmall, Lemma2AllPatterns) {
-  ColumnsortSwitch sw(8, 2, 12);
+  const plan::PlanSwitch sw(
+      make_switch_plan({.family = "columnsort", .m = 12, .r = 8, .s = 2}));
   for (std::uint32_t p = 0; p < (1u << 16); ++p) {
     BitVec valid = pattern_bits(p, 16);
     pcs::core::Lemma2Check check = pcs::core::check_lemma2(sw, valid);

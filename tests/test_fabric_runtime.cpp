@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::rt {
@@ -40,7 +39,7 @@ RuntimeOptions small_opts(CongestionPolicy policy) {
 }
 
 TEST(FabricRuntime, IdenticalSeedsProduceIdenticalMetricsJson) {
-  sw::HyperSwitch sw(64, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 16}));
   auto run_once = [&sw] {
     FabricRuntime runtime(sw, small_opts(CongestionPolicy::kBufferRetry),
                           bernoulli(64, 0.4));
@@ -57,9 +56,12 @@ TEST(FabricRuntime, IdenticalSeedsProduceIdenticalMetricsJson) {
 // queued, or backpressured.  check_invariants keeps core/invariants'
 // epsilon-bound checker in the loop for every setup.
 TEST(FabricRuntime, GuaranteedCapacityLoadIsLosslessAndLatencyFree) {
-  sw::RevsortSwitch revsort(256, 192);        // epsilon 112, capacity 80
-  const auto columnsort =
-      sw::ColumnsortSwitch::from_beta(256, 0.75, 192);  // epsilon 9, capacity 183
+  // epsilon 112, capacity 80
+  const plan::PlanSwitch revsort(
+      make_switch_plan({"revsort", 256, 192}));
+  // epsilon 9, capacity 183
+  const plan::PlanSwitch columnsort(
+      make_switch_plan({"columnsort", 256, 192, 0.75}));
   for (const sw::ConcentratorSwitch* sw :
        std::initializer_list<const sw::ConcentratorSwitch*>{&revsort, &columnsort}) {
     const std::size_t cap = sw->guaranteed_capacity();
@@ -90,7 +92,7 @@ TEST(FabricRuntime, GuaranteedCapacityLoadIsLosslessAndLatencyFree) {
 // PCS_REQUIRE) plus the policy-specific loss accounting must hold, and the
 // bounded queues must push back.
 TEST(FabricRuntime, SustainedOverloadAllPolicies) {
-  sw::HyperSwitch sw(64, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 8}));
   for (CongestionPolicy policy :
        {CongestionPolicy::kDrop, CongestionPolicy::kBufferRetry,
         CongestionPolicy::kMisrouteRetry}) {
@@ -145,7 +147,7 @@ TEST(FabricRuntime, SustainedOverloadAllPolicies) {
 }
 
 TEST(FabricRuntime, SaturationDetectedWhenDrainCapTrips) {
-  sw::HyperSwitch sw(64, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 4}));
   RuntimeOptions opts = small_opts(CongestionPolicy::kBufferRetry);
   opts.queue_depth = 8;
   opts.drain_epochs_max = 2;  // 64 wires x depth 8 cannot drain through 4
@@ -162,7 +164,7 @@ TEST(FabricRuntime, SaturationDetectedWhenDrainCapTrips) {
 }
 
 TEST(FabricRuntime, ModerateLoadDrainsCompletely) {
-  sw::HyperSwitch sw(64, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 16}));
   FabricRuntime runtime(sw, small_opts(CongestionPolicy::kBufferRetry),
                         bernoulli(64, 0.2));
   MetricsRegistry metrics;
@@ -174,7 +176,7 @@ TEST(FabricRuntime, ModerateLoadDrainsCompletely) {
 }
 
 TEST(FabricRuntime, OneBatchDispatchPerEpoch) {
-  sw::HyperSwitch sw(32, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 8}));
   RuntimeOptions opts = small_opts(CongestionPolicy::kDrop);
   FabricRuntime runtime(sw, opts, bernoulli(32, 0.3));
   MetricsRegistry metrics;
@@ -185,7 +187,7 @@ TEST(FabricRuntime, OneBatchDispatchPerEpoch) {
 }
 
 TEST(FabricRuntime, RejectsMismatchedTrafficWidth) {
-  sw::HyperSwitch sw(64, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 16}));
   FabricRuntime runtime(sw, small_opts(CongestionPolicy::kDrop),
                         bernoulli(32, 0.5));  // wrong width
   MetricsRegistry metrics;
@@ -193,7 +195,7 @@ TEST(FabricRuntime, RejectsMismatchedTrafficWidth) {
 }
 
 TEST(FabricRuntime, RejectsDegenerateOptions) {
-  sw::HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   RuntimeOptions opts;
   opts.queue_depth = 0;
   EXPECT_THROW(FabricRuntime(sw, opts, bernoulli(16, 0.5)), ContractViolation);
@@ -210,7 +212,9 @@ TEST(FabricRuntime, RejectsDegenerateOptions) {
 // warmup + measure -- not the cap, and not cap + 1.  Pinned by driving a
 // switch far past its service rate so the drain cap always trips.
 TEST(FabricRuntime, SaturatedDrainAccountingIsExact) {
-  sw::HyperSwitch sw(64, 4);  // capacity 4 against ~32 arrivals/epoch
+  // capacity 4 against ~32 arrivals/epoch
+  const plan::PlanSwitch sw(
+      make_switch_plan({"hyper", 64, 4}));
   RuntimeOptions opts = small_opts(CongestionPolicy::kBufferRetry);
   opts.queue_depth = 64;
   opts.drain_epochs_max = 17;
@@ -246,7 +250,7 @@ TEST(FabricRuntime, SaturatedDrainAccountingIsExact) {
 // on its own:  total.offered == total.delivered + total.dropped +
 // total.residual, with `residual` carrying the measured-window share.
 TEST(FabricRuntime, ResidualBacklogIsAFirstClassCounter) {
-  sw::HyperSwitch sw(64, 4);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 64, 4}));
   RuntimeOptions opts = small_opts(CongestionPolicy::kBufferRetry);
   opts.queue_depth = 64;
   opts.drain_epochs_max = 8;
@@ -266,7 +270,7 @@ TEST(FabricRuntime, ResidualBacklogIsAFirstClassCounter) {
             metrics.counter("total.residual").value());
 
   // A drained campaign exports an explicit zero, not a missing counter.
-  sw::HyperSwitch big(64, 64);
+  const plan::PlanSwitch big(make_switch_plan({"hyper", 64, 64}));
   FabricRuntime drained_rt(big, small_opts(CongestionPolicy::kBufferRetry),
                            bernoulli(64, 0.2));
   MetricsRegistry m2;

@@ -136,6 +136,25 @@ TEST(FabricSim, DegenerateRadixOneChainDeliversEverything) {
   EXPECT_EQ(ctr(metrics, "total.offered"), ctr(metrics, "total.delivered"));
 }
 
+TEST(FabricSim, HyperNodesConserveAndDrain) {
+  // Section 1's single chip as the node: an omega of hyperconcentrators
+  // at load 0.2 delivers or drops every message and drains.
+  FabricSpec spec = base_spec(Topology::kOmega, 3, 2);
+  spec.node.family = "hyper";
+  FabricSim sim(spec, fast_opts(), bernoulli(0.2));
+  MetricsRegistry metrics;
+  const RuntimeReport report = sim.run(metrics);
+  EXPECT_EQ(sim.name(), "omega(hops=3, radix=2) of hyperconcentrator(64,32)");
+  EXPECT_TRUE(report.drained);
+  EXPECT_GT(ctr(metrics, "total.delivered"), 0u);
+  check_conservation(metrics, report);
+  check_hop_accounting(metrics, sim.graph());
+  for (std::size_t k = 0; k < sim.graph().hops(); ++k) {
+    EXPECT_EQ(ctr(metrics, "fabric.hop" + std::to_string(k) + ".dropped.fault"),
+              0u);
+  }
+}
+
 TEST(FabricSim, FaultedMiddleHopAccountsEveryLoss) {
   FabricSpec spec = base_spec(Topology::kOmega, 3, 2);
   // Columnsort(64, 32) has 32-wide chips; stage 0 chip 0 covers the first
@@ -259,6 +278,23 @@ TEST(FabricSim, MakeFabricSimBridgesTheRuntimeConfig) {
   const RuntimeReport report = sim->run(metrics);
   check_conservation(metrics, report);
   EXPECT_EQ(sim->name(), "omega(hops=2, radix=2) of columnsort(r=32,s=2,m=32)");
+}
+
+TEST(FabricSim, ConfigWithAZeroCapacityNodeIsRefusedNamingTheNode) {
+  // What pcs_serve does with `topology = omega` and a Revsort(256 -> 112)
+  // node: the config is valid, the fabric is not (epsilon 112 = m).
+  const rt::RuntimeConfig cfg =
+      rt::parse_config_text("family = revsort\nn = 256\nm = 112\n"
+                            "topology = omega\n");
+  try {
+    make_fabric_sim(cfg, "revsort", 0.2);
+    ADD_FAILURE() << "a zero-capacity fabric node was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("FabricSpec.node"), std::string::npos) << what;
+    EXPECT_NE(what.find("zero guaranteed capacity"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(FabricSim, RejectsBadConstruction) {

@@ -173,15 +173,37 @@ TEST(FabricSpecNodeAt, FaultsLandOnTheFaultHopOnly) {
   EXPECT_THROW(s.node_spec_at(3), ContractViolation);
 }
 
+std::unique_ptr<fabric::FabricSim> build(const FabricSpec& s) {
+  return make_fabric(s, fabric::FabricOptions{}, [](std::size_t) {
+    return std::unique_ptr<traffic::TrafficSource>();
+  });
+}
+
 TEST(MakeFabric, RejectsInvalidSpecsBeforeBuildingAnything) {
   FabricSpec s = base_spec();
-  s.node.family = "hyper";  // no plan -> not a fabric node
-  fabric::FabricOptions opts;
-  EXPECT_THROW(
-      make_fabric(s, opts, [](std::size_t) {
-        return std::unique_ptr<traffic::TrafficSource>();
-      }),
-      ContractViolation);
+  s.node.family = "banyan";  // no such switch family
+  EXPECT_THROW(build(s), ContractViolation);
+}
+
+TEST(MakeFabric, RefusesANodeWithZeroGuaranteedCapacity) {
+  // Revsort(256 -> 112): epsilon = 7 dirty rows of 16 = 112 = m, so the
+  // healthy node guarantees no message per epoch.
+  FabricSpec s = base_spec();
+  s.node.family = "revsort";
+  s.node.n = 256;
+  s.node.m = 112;
+  EXPECT_NO_THROW(s.validate());  // the field checks compile nothing
+  try {
+    build(s);
+    ADD_FAILURE() << "make_fabric accepted a zero-capacity node";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("FabricSpec.node"), std::string::npos) << what;
+    EXPECT_NE(what.find("zero guaranteed capacity"), std::string::npos)
+        << what;
+  }
+  s.node.m = 128;  // one guaranteed message more: builds
+  EXPECT_NE(build(s), nullptr);
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // chips dead with plan::apply_chip_faults, run it behind plan::PlanSwitch.
 // These tests preserve the loss-bound and dedupe guarantees the dedicated
 // Faulty* switch classes used to provide.
-#include "plan/plan_switch.hpp"
 
 #include <gtest/gtest.h>
 
 #include "plan/compile.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -31,7 +31,7 @@ PlanSwitch faulty_columnsort(std::size_t r, std::size_t s, std::size_t m,
 TEST(Faults, NoFaultsEqualsHealthySwitch) {
   const std::size_t n = 256;
   PlanSwitch faulty = faulty_revsort(n, n, {});
-  sw::RevsortSwitch healthy(n, n);
+  const plan::PlanSwitch healthy(make_switch_plan({"revsort", n, n}));
   Rng rng(310);
   for (int t = 0; t < 20; ++t) {
     BitVec valid = rng.bernoulli_bits(n, rng.uniform01());

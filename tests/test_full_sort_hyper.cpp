@@ -1,12 +1,28 @@
-#include "switch/full_sort_hyper.hpp"
-
+// The full-sorting multichip hyperconcentrators of Section 6 as
+// make_switch builds them.
 #include <gtest/gtest.h>
 
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
 namespace {
+
+plan::PlanSwitch full_revsort(std::size_t n) {
+  return plan::PlanSwitch(make_switch_plan({"full-revsort", n}));
+}
+
+SwitchSpec full_columnsort_spec(std::size_t r, std::size_t s) {
+  return {.family = "full-columnsort", .r = r, .s = s};
+}
+
+/// Repetitions of the Revsort stack pair: one shifter stage of `side` chips
+/// each.
+std::size_t repetitions(const plan::SwitchPlan& p) {
+  return p.shifter_count() / p.stages[0].chips;
+}
 
 // A hyperconcentrator must route its k valid inputs to its *first* k
 // outputs for every input pattern.
@@ -24,13 +40,14 @@ class FullRevsort : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FullRevsort, FullySortsAllDensities) {
   const std::size_t n = GetParam();
-  FullRevsortHyper sw(n);
+  const plan::PlanSwitch sw = full_revsort(n);
   Rng rng(160 + n);
   for (int trial = 0; trial < 30; ++trial) {
     BitVec valid = rng.bernoulli_bits(n, rng.uniform01());
     expect_hyperconcentration(sw, valid);
     // The prescribed stage structure should suffice without the safety net.
-    EXPECT_EQ(sw.extra_phases_used(), 0u) << "n=" << n << " trial=" << trial;
+    EXPECT_EQ(sw.executor().extra_phases_used(), 0u)
+        << "n=" << n << " trial=" << trial;
   }
 }
 
@@ -38,21 +55,23 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FullRevsort, ::testing::Values(4, 16, 64, 256, 1
 
 TEST(FullRevsort, ChipPassCountStructure) {
   // 2 per repetition + 1 + 6 + 1 (see header); reps = ceil(lg lg sqrt(n)).
-  FullRevsortHyper sw256(256);  // side 16, reps = 2
-  EXPECT_EQ(sw256.repetitions(), 2u);
-  EXPECT_EQ(sw256.chip_passes(), 12u);
-  FullRevsortHyper sw4096(4096);  // side 64, q=6, reps = ceil(lg 6) = 3
-  EXPECT_EQ(sw4096.repetitions(), 3u);
-  EXPECT_EQ(sw4096.chip_passes(), 14u);
+  // side 16, reps = 2
+  const plan::SwitchPlan p256 = make_switch_plan({"full-revsort", 256});
+  EXPECT_EQ(repetitions(p256), 2u);
+  EXPECT_EQ(p256.chip_passes(), 12u);
+  // side 64, q=6, reps = ceil(lg 6) = 3
+  const plan::SwitchPlan p4096 = make_switch_plan({"full-revsort", 4096});
+  EXPECT_EQ(repetitions(p4096), 3u);
+  EXPECT_EQ(p4096.chip_passes(), 14u);
 }
 
 TEST(FullRevsort, ShapeValidation) {
-  EXPECT_THROW(FullRevsortHyper(32), pcs::ContractViolation);
-  EXPECT_THROW(FullRevsortHyper(36), pcs::ContractViolation);
+  EXPECT_THROW(make_switch({"full-revsort", 32}), pcs::ContractViolation);
+  EXPECT_THROW(make_switch({"full-revsort", 36}), pcs::ContractViolation);
 }
 
 TEST(FullRevsort, ExtremeDensities) {
-  FullRevsortHyper sw(64);
+  const plan::PlanSwitch sw = full_revsort(64);
   expect_hyperconcentration(sw, BitVec(64));
   expect_hyperconcentration(sw, BitVec(64, true));
   BitVec one(64);
@@ -73,11 +92,11 @@ class FullColumnsort : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(FullColumnsort, FullySortsAllDensities) {
   const auto [r, s] = GetParam();
-  FullColumnsortHyper sw(r, s);
+  const auto sw = make_switch(full_columnsort_spec(r, s));
   Rng rng(161 + r + s);
   for (int trial = 0; trial < 30; ++trial) {
     BitVec valid = rng.bernoulli_bits(r * s, rng.uniform01());
-    expect_hyperconcentration(sw, valid);
+    expect_hyperconcentration(*sw, valid);
   }
 }
 
@@ -86,22 +105,23 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FullColumnsort,
                                            Shape{128, 8}, Shape{18, 3}));
 
 TEST(FullColumnsort, RejectsBadShapes) {
-  EXPECT_THROW(FullColumnsortHyper(16, 4), pcs::ContractViolation);  // 16 < 2*9
-  EXPECT_THROW(FullColumnsortHyper(10, 4), pcs::ContractViolation);  // 4 !| 10
+  EXPECT_THROW(make_switch(full_columnsort_spec(16, 4)),
+               pcs::ContractViolation);  // 16 < 2*9
+  EXPECT_THROW(make_switch(full_columnsort_spec(10, 4)),
+               pcs::ContractViolation);  // 4 !| 10
 }
 
 TEST(FullColumnsort, BomCountsShiftStage) {
-  FullColumnsortHyper sw(32, 4);
-  Bom bom = sw.bill_of_materials();
-  EXPECT_EQ(bom.total_chips(), 3u * 4u + 5u);  // 3s + (s+1)
-  EXPECT_EQ(FullColumnsortHyper::kChipPasses, 4u);
+  const plan::SwitchPlan p = make_switch_plan(full_columnsort_spec(32, 4));
+  EXPECT_EQ(p.chip_count(), 3u * 4u + 5u);  // 3s + (s+1)
+  EXPECT_EQ(p.chip_passes(), 4u);
 }
 
 TEST(FullSortHyper, StableWithinValidOrderNotRequired) {
   // The hyperconcentrator contract fixes which *outputs* are used, not the
   // order of messages among them; this test documents that the full-sort
   // switches still deliver a consistent bijection among the first k.
-  FullRevsortHyper sw(64);
+  const plan::PlanSwitch sw = full_revsort(64);
   Rng rng(162);
   BitVec valid = rng.bernoulli_bits(64, 0.5);
   SwitchRouting r = sw.route(valid);

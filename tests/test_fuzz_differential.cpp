@@ -18,12 +18,8 @@
 #include "plan/plan_switch.hpp"
 #include "sortnet/lane_batch.hpp"
 #include "sortnet/mesh_ops.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
 #include "switch/make_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch_oracles.hpp"
 #include "util/bitvec.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -180,13 +176,13 @@ void expect_batch_matches_sequential(const sw::ConcentratorSwitch& s, Rng& rng) 
 
 TEST(FuzzDifferential, HyperSwitchBatchMatchesSequential) {
   Rng rng(383);
-  sw::HyperSwitch s(64, 32);
+  const plan::PlanSwitch s(make_switch_plan({"hyper", 64, 32}));
   expect_batch_matches_sequential(s, rng);
 }
 
 TEST(FuzzDifferential, RevsortSwitchBatchMatchesSequential) {
   Rng rng(384);
-  sw::RevsortSwitch s(256, 128);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 256, 128}));
   expect_batch_matches_sequential(s, rng);
 }
 
@@ -195,9 +191,9 @@ TEST(FuzzDifferential, RevsortSwitchVectorKernelMatchesSequential) {
   // shape where route_batch may take the AVX-512 kernel: side 64 (one word
   // per column, m not a multiple of side) and side 128 (two words).
   Rng rng(388);
-  sw::RevsortSwitch s64(4096, 1900);
+  const plan::PlanSwitch s64(make_switch_plan({"revsort", 4096, 1900}));
   expect_batch_matches_sequential(s64, rng);
-  sw::RevsortSwitch s128(16384, 5000);
+  const plan::PlanSwitch s128(make_switch_plan({"revsort", 16384, 5000}));
   std::vector<BitVec> patterns = make_patterns(16384, 8, rng);
   std::vector<sw::SwitchRouting> routes = s128.route_batch(patterns);
   for (std::size_t i = 0; i < patterns.size(); ++i) {
@@ -209,24 +205,30 @@ TEST(FuzzDifferential, RevsortSwitchVectorKernelMatchesSequential) {
 
 TEST(FuzzDifferential, ColumnsortSwitchBatchMatchesSequential) {
   Rng rng(385);
-  sw::ColumnsortSwitch s(32, 4, 64);
+  const plan::PlanSwitch s(
+      make_switch_plan({.family = "columnsort", .m = 64, .r = 32, .s = 4}));
   expect_batch_matches_sequential(s, rng);
 }
 
 TEST(FuzzDifferential, FullSortHyperBatchMatchesSequential) {
   Rng rng(386);
-  sw::FullRevsortHyper rev(256);
+  const plan::PlanSwitch rev(make_switch_plan({"full-revsort", 256}));
   expect_batch_matches_sequential(rev, rng);
-  sw::FullColumnsortHyper col(32, 4);
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "full-columnsort", .r = 32, .s = 4}));
   expect_batch_matches_sequential(col, rng);
 }
 
 TEST(FuzzDifferential, MultipassSwitchBatchMatchesSequential) {
   Rng rng(387);
-  sw::MultipassColumnsortSwitch same(32, 4, 2, 64, sw::ReshapeSchedule::kSame);
+  const plan::PlanSwitch same(
+      make_switch_plan({.family = "multipass", .m = 64, .r = 32, .s = 4,
+                        .passes = 2, .schedule = plan::ReshapeSchedule::kSame}));
   expect_batch_matches_sequential(same, rng);
-  sw::MultipassColumnsortSwitch alt(32, 4, 3, 64,
-                                    sw::ReshapeSchedule::kAlternating);
+  const plan::PlanSwitch alt(
+      make_switch_plan({.family = "multipass", .m = 64, .r = 32, .s = 4,
+                        .passes = 3,
+                        .schedule = plan::ReshapeSchedule::kAlternating}));
   expect_batch_matches_sequential(alt, rng);
 }
 
@@ -279,8 +281,7 @@ TEST(FuzzDifferential, RouteBatchMaskMatchesRouteOnEveryFamily) {
   Rng rng(392);
   // Revsort below side 64 (the scalar kernel) and at side 64 (the
   // dense-prefix kernel, AVX-512 where the CPU has it), Columnsort, the
-  // hyperconcentrator (the base-class reading of route_batch), and faulted
-  // plans on the generic staged path.
+  // single chip's word scan, and faulted plans on the generic staged path.
   expect_mask_batches_match_route(*spec_switch("revsort", 256, 192), rng);
   expect_mask_batches_match_route(*spec_switch("revsort", 4096, 1900), rng);
   expect_mask_batches_match_route(*spec_switch("columnsort", 256, 192), rng);
@@ -290,8 +291,79 @@ TEST(FuzzDifferential, RouteBatchMaskMatchesRouteOnEveryFamily) {
   expect_mask_batches_match_route(
       *spec_switch("columnsort", 256, 192, {{0, 1}, {1, 2}}), rng);
   expect_mask_batches_match_route(
-      sw::MultipassColumnsortSwitch(32, 4, 2, 64, sw::ReshapeSchedule::kSame),
+      *make_switch({.family = "multipass", .m = 64, .r = 32, .s = 4,
+                    .passes = 2}),
       rng);
+}
+
+// --- the single-chip plan vs the hyper oracle -----------------------------
+
+/// make_switch({"hyper", n, m}) against oracle::HyperOracle (the chip routed
+/// through hyper::Hyperconcentrator) on every ConcentratorSwitch entry
+/// point, over batches on both sides of kMinChunkWork.
+void expect_hyper_matches_oracle(const sw::ConcentratorSwitch& made,
+                                 const oracle::HyperOracle& chip, Rng& rng) {
+  const std::size_t n = chip.inputs();
+  ASSERT_EQ(made.name(), chip.name());
+  ASSERT_EQ(made.inputs(), n);
+  ASSERT_EQ(made.outputs(), chip.outputs());
+  ASSERT_EQ(made.epsilon_bound(), chip.epsilon_bound());
+  ASSERT_EQ(made.guaranteed_capacity(), chip.guaranteed_capacity());
+  const std::size_t pooled = 2 * kMinChunkWork / n + 3;
+  std::vector<BitVec> routed;
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, pooled}) {
+    const std::vector<BitVec> patterns = make_patterns(n, batch, rng);
+    const std::vector<sw::SwitchRouting> routes = made.route_batch(patterns);
+    const std::vector<BitVec> arrangements = made.nearsorted_batch(patterns);
+    made.route_batch_mask(patterns, routed);
+    for (std::size_t i = 0; i < batch; ++i) {
+      const sw::SwitchRouting ref = chip.route(patterns[i]);
+      const sw::SwitchRouting one = made.route(patterns[i]);
+      ASSERT_EQ(one.output_of_input, ref.output_of_input) << made.name() << " " << i;
+      ASSERT_EQ(one.input_of_output, ref.input_of_output) << made.name() << " " << i;
+      ASSERT_EQ(routes[i].output_of_input, ref.output_of_input)
+          << made.name() << " batch " << batch << " pattern " << i;
+      ASSERT_EQ(routes[i].input_of_output, ref.input_of_output)
+          << made.name() << " batch " << batch << " pattern " << i;
+      BitVec mask;
+      sw::routed_inputs(ref, mask);
+      ASSERT_EQ(routed[i], mask)
+          << made.name() << " batch " << batch << " pattern " << i;
+      const BitVec arr_ref = chip.nearsorted_valid_bits(patterns[i]);
+      ASSERT_EQ(made.nearsorted_valid_bits(patterns[i]), arr_ref) << i;
+      ASSERT_EQ(arrangements[i], arr_ref)
+          << made.name() << " batch " << batch << " pattern " << i;
+    }
+  }
+}
+
+TEST(FuzzDifferential, HyperPlanMatchesHyperOracle) {
+  Rng rng(394);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                              std::size_t{100}, std::size_t{256},
+                              std::size_t{4096}}) {
+    for (const std::size_t m : {std::size_t{1}, n - 1, n}) {
+      if (m == 0) continue;  // n = 1 has no n - 1 outputs
+      SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
+      expect_hyper_matches_oracle(*make_switch({"hyper", n, m}),
+                                  oracle::HyperOracle(n, m), rng);
+    }
+  }
+}
+
+TEST(FuzzDifferential, HyperPlanSharedAcrossThreadsMatchesOracle) {
+  // One switch, two threads routing at once through its batch paths: the
+  // executor holds no mutable routing state, so both see the oracle.
+  const auto made = make_switch({"hyper", 256, 192});
+  const oracle::HyperOracle chip(256, 192);
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < 2; ++t) {
+    workers.emplace_back([&made, &chip, t] {
+      Rng rng(395 + t);
+      expect_hyper_matches_oracle(*made, chip, rng);
+    });
+  }
+  for (std::thread& w : workers) w.join();
 }
 
 TEST(FuzzDifferential, DensePrefixMaskKernelsMatchRouteWithAndWithoutAvx512) {

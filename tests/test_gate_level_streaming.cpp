@@ -5,8 +5,9 @@
 // per wire, and the reassembled output payloads must match the senders'.
 #include <gtest/gtest.h>
 
+#include "plan/plan_switch.hpp"
 #include "switch/gate_level_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
@@ -15,8 +16,8 @@ namespace {
 TEST(GateLevelStreaming, PayloadsReassembleIntact) {
   const std::size_t n = 16;
   const std::size_t payload_len = 12;
-  GateLevelRevsortSwitch gate(n);
-  RevsortSwitch model(n, n);
+  const GateLevelSwitch gate(make_switch_plan({"revsort", n}));
+  const plan::PlanSwitch model(make_switch_plan({"revsort", n, n}));
   Rng rng(340);
 
   for (int trial = 0; trial < 5; ++trial) {
@@ -55,7 +56,7 @@ TEST(GateLevelStreaming, PathsStableAcrossCycles) {
   // inject a distinctive one-hot payload per cycle and confirm each output
   // tracks a single input wire throughout.
   const std::size_t n = 16;
-  GateLevelRevsortSwitch gate(n);
+  const GateLevelSwitch gate(make_switch_plan({"revsort", n}));
   Rng rng(341);
   BitVec valid = rng.bernoulli_bits(n, 0.6);
   std::vector<std::int32_t> owner(n, -2);  // -2 = unset, -1 = idle

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
@@ -30,8 +30,8 @@ void expect_equivalent(const GateSwitch& gate, const BehaviouralSwitch& model,
 TEST(GateLevelRevsort, MatchesBehaviouralSwitch) {
   Rng rng(260);
   for (std::size_t n : {4u, 16u, 64u}) {
-    GateLevelRevsortSwitch gate(n);
-    RevsortSwitch model(n, n);
+    const GateLevelSwitch gate(make_switch_plan({"revsort", n}));
+    const plan::PlanSwitch model(make_switch_plan({"revsort", n, n}));
     for (int trial = 0; trial < 15; ++trial) {
       BitVec valid = rng.bernoulli_bits(n, rng.uniform01());
       BitVec data = rng.bernoulli_bits(n, 0.5);
@@ -45,13 +45,14 @@ TEST(GateLevelRevsort, DataPathDepthIsThreeLgN) {
   // = 3 lg n, with wiring and hardwired shifters contributing zero.
   for (std::size_t side : {2u, 4u, 8u}) {
     const std::size_t n = side * side;
-    GateLevelRevsortSwitch gate(n);
+    const GateLevelSwitch gate(make_switch_plan({"revsort", n}));
     EXPECT_EQ(gate.data_path_depth(), 3 * 2 * exact_log2(side)) << "n=" << n;
   }
 }
 
 TEST(GateLevelRevsort, ShapeValidation) {
-  EXPECT_THROW(GateLevelRevsortSwitch(32), pcs::ContractViolation);
+  EXPECT_THROW(GateLevelSwitch(make_switch_plan({"revsort", 32})),
+               pcs::ContractViolation);
 }
 
 TEST(GateLevelColumnsort, MatchesBehaviouralSwitch) {
@@ -59,8 +60,10 @@ TEST(GateLevelColumnsort, MatchesBehaviouralSwitch) {
   for (auto [r, s] : {std::pair<std::size_t, std::size_t>{8, 2},
                       std::pair<std::size_t, std::size_t>{16, 4},
                       std::pair<std::size_t, std::size_t>{32, 4}}) {
-    GateLevelColumnsortSwitch gate(r, s);
-    ColumnsortSwitch model(r, s, r * s);
+    const GateLevelSwitch gate(
+        make_switch_plan({.family = "columnsort", .r = r, .s = s}));
+    const plan::PlanSwitch model(
+        make_switch_plan({.family = "columnsort", .m = r * s, .r = r, .s = s}));
     for (int trial = 0; trial < 15; ++trial) {
       BitVec valid = rng.bernoulli_bits(r * s, rng.uniform01());
       BitVec data = rng.bernoulli_bits(r * s, 0.5);
@@ -73,20 +76,22 @@ TEST(GateLevelColumnsort, DataPathDepthIsFourLgR) {
   for (auto [r, s] : {std::pair<std::size_t, std::size_t>{8, 2},
                       std::pair<std::size_t, std::size_t>{16, 4},
                       std::pair<std::size_t, std::size_t>{64, 8}}) {
-    GateLevelColumnsortSwitch gate(r, s);
+    const GateLevelSwitch gate(
+        make_switch_plan({.family = "columnsort", .r = r, .s = s}));
     EXPECT_EQ(gate.data_path_depth(), 2 * 2 * ceil_log2(r)) << "r=" << r;
   }
 }
 
 TEST(GateLevelSwitch, ControlDepthExceedsDataDepth) {
-  GateLevelColumnsortSwitch gate(16, 4);
+  const GateLevelSwitch gate(
+      make_switch_plan({.family = "columnsort", .r = 16, .s = 4}));
   EXPECT_GT(gate.control_path_depth(), gate.data_path_depth());
 }
 
 TEST(GateLevelSwitch, GateCountScalesWithStagesTimesChipArea) {
   // Revsort: 3 stages of v chips of ~c v^2 gates => ~3 c n v gates.
-  GateLevelRevsortSwitch g16(16);   // v = 4
-  GateLevelRevsortSwitch g64(64);   // v = 8
+  const GateLevelSwitch g16(make_switch_plan({"revsort", 16}));   // v = 4
+  const GateLevelSwitch g64(make_switch_plan({"revsort", 64}));   // v = 8
   double ratio = static_cast<double>(g64.gate_count()) /
                  static_cast<double>(g16.gate_count());
   // v^3 scaling: 8x, within a generous band.
@@ -96,8 +101,8 @@ TEST(GateLevelSwitch, GateCountScalesWithStagesTimesChipArea) {
 
 TEST(GateLevelSwitch, ExhaustiveTinyRevsort) {
   const std::size_t n = 4;
-  GateLevelRevsortSwitch gate(n);
-  RevsortSwitch model(n, n);
+  const GateLevelSwitch gate(make_switch_plan({"revsort", n}));
+  const plan::PlanSwitch model(make_switch_plan({"revsort", n, n}));
   for (std::uint32_t vp = 0; vp < 16; ++vp) {
     for (std::uint32_t dp = 0; dp < 16; ++dp) {
       BitVec valid(n), data(n);

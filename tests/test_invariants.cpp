@@ -10,25 +10,24 @@
 #include <string>
 #include <vector>
 
-#include "switch/columnsort_switch.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::core {
 namespace {
 
 TEST(Invariants, CleanSwitchesPassEveryCheck) {
-  const sw::RevsortSwitch rev(64, 48);
-  const sw::ColumnsortSwitch col(16, 4, 40);
-  const sw::HyperSwitch hyper(64, 64);
-  const sw::FullRevsortHyper full(64);
-  const sw::MultipassColumnsortSwitch multi(16, 4, 2, 48,
-                                            sw::ReshapeSchedule::kAlternating);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 64, 48}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 40, .r = 16, .s = 4}));
+  const plan::PlanSwitch hyper(make_switch_plan({"hyper", 64, 64}));
+  const plan::PlanSwitch full(make_switch_plan({"full-revsort", 64}));
+  const plan::PlanSwitch multi(
+      make_switch_plan({.family = "multipass", .m = 48, .r = 16, .s = 4,
+                        .passes = 2,
+                        .schedule = plan::ReshapeSchedule::kAlternating}));
   const sw::ConcentratorSwitch* switches[] = {&rev, &col, &hyper, &full, &multi};
   Rng rng(1000);
   InvariantReport report;
@@ -60,7 +59,7 @@ TEST(Invariants, DescribePatternTruncatesLongPatterns) {
 }
 
 TEST(Invariants, PartialInjectionCatchesWrongSizes) {
-  const sw::RevsortSwitch sw(16, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 16, 16}));
   const BitVec valid = BitVec::prefix_ones(16, 5);
   sw::SwitchRouting routing = sw.route(valid);
   routing.input_of_output.pop_back();
@@ -72,7 +71,7 @@ TEST(Invariants, PartialInjectionCatchesWrongSizes) {
 }
 
 TEST(Invariants, PartialInjectionCatchesInvalidSource) {
-  const sw::RevsortSwitch sw(16, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 16, 16}));
   const BitVec valid = BitVec::prefix_ones(16, 5);
   sw::SwitchRouting routing = sw.route(valid);
   // Re-point an occupied output at an input whose valid bit is 0.
@@ -91,7 +90,7 @@ TEST(Invariants, PartialInjectionCatchesInvalidSource) {
 }
 
 TEST(Invariants, ConcentrationCatchesDroppedMessage) {
-  const sw::HyperSwitch sw(32, 32);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 32}));
   const BitVec valid = BitVec::prefix_ones(32, 9);
   sw::SwitchRouting routing = sw.route(valid);
   // Vacate one occupied output: k <= capacity now routes only k - 1.
@@ -109,7 +108,7 @@ TEST(Invariants, ConcentrationCatchesDroppedMessage) {
 TEST(Invariants, ConcentrationCatchesPrefixHole) {
   // epsilon_bound() == 0 switches must fill exactly the first min(k, m)
   // outputs; moving a message past the prefix is a hole plus an overflow.
-  const sw::HyperSwitch sw(32, 32);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 32}));
   const BitVec valid = BitVec::prefix_ones(32, 9);
   sw::SwitchRouting routing = sw.route(valid);
   const std::int32_t src = routing.input_of_output[2];
@@ -124,7 +123,7 @@ TEST(Invariants, ConcentrationCatchesPrefixHole) {
 }
 
 TEST(Invariants, EpsilonBoundCatchesCountMismatch) {
-  const sw::RevsortSwitch sw(16, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 16, 16}));
   const BitVec valid = BitVec::prefix_ones(16, 6);
   InvariantReport report;
   EXPECT_FALSE(check_epsilon_bound(sw, valid, BitVec::prefix_ones(16, 5), report));
@@ -134,7 +133,9 @@ TEST(Invariants, EpsilonBoundCatchesCountMismatch) {
 }
 
 TEST(Invariants, EpsilonBoundCatchesExcessEpsilon) {
-  const sw::ColumnsortSwitch sw(16, 4, 64);  // advertised epsilon: (s-1)^2 = 9
+  // advertised epsilon: (s-1)^2 = 9
+  const plan::PlanSwitch sw(
+      make_switch_plan({.family = "columnsort", .m = 64, .r = 16, .s = 4}));
   BitVec suffix(64);
   for (std::size_t i = 32; i < 64; ++i) suffix.set(i, true);
   BitVec valid(64);
@@ -195,7 +196,8 @@ TEST(Invariants, EpsilonBoundToleratesFaultLossButNoMore) {
 }
 
 TEST(Invariants, BatchIdentityPassesAcrossLaneBoundaries) {
-  const sw::ColumnsortSwitch sw(16, 4, 48);
+  const plan::PlanSwitch sw(
+      make_switch_plan({.family = "columnsort", .m = 48, .r = 16, .s = 4}));
   Rng rng(1001);
   for (std::size_t b : {1u, 63u, 64u, 65u}) {
     std::vector<BitVec> valids;
@@ -213,7 +215,7 @@ TEST(Invariants, FaultLossPassesRealFaultySwitch) {
   plan::SwitchPlan p = plan::compile_revsort_plan(n, 48);
   plan::apply_chip_faults(p, {plan::ChipFault{0, 1}, plan::ChipFault{2, 3}});
   const plan::PlanSwitch faulty(std::move(p));
-  const sw::RevsortSwitch healthy(n, 48);
+  const plan::PlanSwitch healthy(make_switch_plan({"revsort", n, 48}));
   Rng rng(1002);
   InvariantReport report;
   for (int t = 0; t < 16; ++t) {

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -13,7 +12,7 @@ namespace {
 std::function<std::unique_ptr<pcs::sw::ConcentratorSwitch>(std::size_t, std::size_t)>
 hyper_ports() {
   return [](std::size_t n, std::size_t m) {
-    return std::make_unique<pcs::sw::HyperSwitch>(n, m);
+    return pcs::make_switch({"hyper", n, m});
   };
 }
 
@@ -21,7 +20,7 @@ TEST(Knockout, ShapeValidation) {
   EXPECT_THROW(KnockoutSwitch(0, 1, hyper_ports()), pcs::ContractViolation);
   EXPECT_THROW(KnockoutSwitch(8, 9, hyper_ports()), pcs::ContractViolation);
   auto bad = [](std::size_t, std::size_t) {
-    return std::make_unique<pcs::sw::HyperSwitch>(4, 2);
+    return pcs::make_switch({"hyper", 4, 2});
   };
   EXPECT_THROW(KnockoutSwitch(8, 2, bad), pcs::ContractViolation);
 }
@@ -90,7 +89,7 @@ TEST(Knockout, RevsortPortsAddOnlyEpsilonLoss) {
   // these arrival counts (far below capacity) there should be none.
   const std::size_t n = 64;
   auto revsort_ports = [](std::size_t ports, std::size_t accept) {
-    return std::make_unique<pcs::sw::RevsortSwitch>(ports, accept);
+    return pcs::make_switch({"revsort", ports, accept});
   };
   KnockoutSwitch partial(n, 24, revsort_ports);  // capacity 24 - ... epsilon 40?
   KnockoutSwitch perfect(n, 24, hyper_ports());

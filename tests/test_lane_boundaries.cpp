@@ -12,11 +12,7 @@
 #include <vector>
 
 #include "core/invariants.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -54,57 +50,63 @@ std::vector<BitVec> make_batch(std::size_t n, std::size_t count, Rng& rng) {
   return out;
 }
 
-void sweep(const sw::ConcentratorSwitch& sw, std::uint64_t seed) {
+void sweep(const SwitchSpec& spec, std::uint64_t seed) {
+  const auto sw = make_switch(spec);
   Rng rng(seed);
   for (std::size_t batch : kBatchSizes) {
     core::InvariantReport report;
-    const std::vector<BitVec> valids = make_batch(sw.inputs(), batch, rng);
-    EXPECT_TRUE(core::check_batch_identity(sw, valids, report))
-        << sw.name() << " batch=" << batch << ": " << report.to_string();
+    const std::vector<BitVec> valids = make_batch(sw->inputs(), batch, rng);
+    EXPECT_TRUE(core::check_batch_identity(*sw, valids, report))
+        << sw->name() << " batch=" << batch << ": " << report.to_string();
   }
 }
 
+SwitchSpec columnsort(std::size_t r, std::size_t s, std::size_t m) {
+  return {.family = "columnsort", .m = m, .r = r, .s = s};
+}
+
+SwitchSpec multipass(std::size_t r, std::size_t s, std::size_t passes,
+                     std::size_t m, plan::ReshapeSchedule schedule) {
+  return {.family = "multipass", .m = m, .r = r, .s = s, .passes = passes,
+          .schedule = schedule};
+}
+
 TEST(LaneBoundaries, HyperSwitch) {
-  sweep(sw::HyperSwitch(64, 48), 900);
-  sweep(sw::HyperSwitch(64, 1), 901);   // m = 1 edge
-  sweep(sw::HyperSwitch(64, 64), 902);  // m = n edge
-  sweep(sw::HyperSwitch(100, 37), 903);  // non-power-of-two n
+  sweep({"hyper", 64, 48}, 900);
+  sweep({"hyper", 64, 1}, 901);    // m = 1 edge
+  sweep({"hyper", 64, 64}, 902);   // m = n edge
+  sweep({"hyper", 100, 37}, 903);  // non-power-of-two n
 }
 
 TEST(LaneBoundaries, RevsortSwitch) {
-  sweep(sw::RevsortSwitch(64, 48), 910);
-  sweep(sw::RevsortSwitch(64, 1), 911);
-  sweep(sw::RevsortSwitch(64, 64), 912);
-  sweep(sw::RevsortSwitch(256, 200), 913);
+  sweep({"revsort", 64, 48}, 910);
+  sweep({"revsort", 64, 1}, 911);
+  sweep({"revsort", 64, 64}, 912);
+  sweep({"revsort", 256, 200}, 913);
 }
 
 TEST(LaneBoundaries, ColumnsortSwitch) {
-  sweep(sw::ColumnsortSwitch(16, 4, 48), 920);
-  sweep(sw::ColumnsortSwitch(16, 4, 1), 921);
-  sweep(sw::ColumnsortSwitch(16, 4, 64), 922);
-  sweep(sw::ColumnsortSwitch(8, 2, 11), 923);
+  sweep(columnsort(16, 4, 48), 920);
+  sweep(columnsort(16, 4, 1), 921);
+  sweep(columnsort(16, 4, 64), 922);
+  sweep(columnsort(8, 2, 11), 923);
 }
 
 TEST(LaneBoundaries, FullSortHyper) {
-  sweep(sw::FullRevsortHyper(64), 930);      // m = n by construction
-  sweep(sw::FullColumnsortHyper(8, 2), 931);
+  sweep({"full-revsort", 64}, 930);  // m = n by construction
+  sweep({.family = "full-columnsort", .r = 8, .s = 2}, 931);
 }
 
 TEST(LaneBoundaries, MultipassColumnsort) {
-  sweep(sw::MultipassColumnsortSwitch(16, 4, 2, 48, sw::ReshapeSchedule::kSame),
-        940);
-  sweep(sw::MultipassColumnsortSwitch(16, 4, 2, 1,
-                                      sw::ReshapeSchedule::kAlternating),
-        941);
-  sweep(sw::MultipassColumnsortSwitch(16, 4, 3, 64,
-                                      sw::ReshapeSchedule::kAlternating),
-        942);
+  sweep(multipass(16, 4, 2, 48, plan::ReshapeSchedule::kSame), 940);
+  sweep(multipass(16, 4, 2, 1, plan::ReshapeSchedule::kAlternating), 941);
+  sweep(multipass(16, 4, 3, 64, plan::ReshapeSchedule::kAlternating), 942);
 }
 
 TEST(LaneBoundaries, TrivialOneInputSwitch) {
   // n = 1 collapses every lane-boundary case to single bits; still must agree.
-  sweep(sw::RevsortSwitch(1, 1), 950);
-  sweep(sw::HyperSwitch(1, 1), 951);
+  sweep({"revsort", 1, 1}, 950);
+  sweep({"hyper", 1, 1}, 951);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/plan_switch.hpp"
 #include "sortnet/nearsort.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -32,8 +31,9 @@ TEST(Lemma1, RoundtripOnStructuredSequences) {
 
 TEST(Lemma2, HoldsForMultichipSwitches) {
   Rng rng(241);
-  pcs::sw::RevsortSwitch rev(256, 192);
-  pcs::sw::ColumnsortSwitch col(64, 4, 192);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 256, 192}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 192, .r = 64, .s = 4}));
   for (const pcs::sw::ConcentratorSwitch* sw :
        std::initializer_list<const pcs::sw::ConcentratorSwitch*>{&rev, &col}) {
     for (int trial = 0; trial < 60; ++trial) {
@@ -45,7 +45,7 @@ TEST(Lemma2, HoldsForMultichipSwitches) {
 }
 
 TEST(Lemma2, HyperconcentratorHasZeroEpsilon) {
-  pcs::sw::HyperSwitch sw(32, 16);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 32, 16}));
   Rng rng(242);
   for (int trial = 0; trial < 20; ++trial) {
     BitVec valid = rng.bernoulli_bits(32, 0.5);
@@ -83,8 +83,9 @@ TEST(Figure2, ConstructorValidation) {
 
 TEST(EpsilonBound, RespectedBySwitches) {
   Rng rng(243);
-  pcs::sw::RevsortSwitch rev(64, 64);
-  pcs::sw::ColumnsortSwitch col(16, 4, 64);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 64, 64}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 64, .r = 16, .s = 4}));
   for (int trial = 0; trial < 40; ++trial) {
     BitVec valid = rng.bernoulli_bits(64, rng.uniform01());
     EXPECT_TRUE(epsilon_bound_respected(rev, valid));

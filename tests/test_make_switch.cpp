@@ -1,13 +1,11 @@
-#include "switch/make_switch.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/invariants.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch_oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -15,10 +13,10 @@ namespace pcs {
 namespace {
 
 // Routing equivalence on a handful of random patterns: the factory-built
-// switch and the reference must agree bit for bit.
-void expect_same_routing(const sw::ConcentratorSwitch& a,
-                         const sw::ConcentratorSwitch& b, std::size_t n,
-                         unsigned seed) {
+// switch and the hardware-literal oracle must agree bit for bit.
+template <class Oracle>
+void expect_same_routing(const sw::ConcentratorSwitch& a, const Oracle& b,
+                         std::size_t n, unsigned seed) {
   Rng rng(seed);
   for (std::size_t k : {std::size_t{0}, n / 8, n / 3, n / 2}) {
     BitVec valid = rng.exact_weight_bits(n, k);
@@ -41,15 +39,14 @@ TEST(MakeSwitch, RevsortMatchesLegacyClass) {
   spec.n = 256;
   spec.m = 192;
   auto made = make_switch(spec);
-  sw::RevsortSwitch legacy(256, 192);
 
-  EXPECT_EQ(made->name(), legacy.name());
-  EXPECT_EQ(made->inputs(), legacy.inputs());
-  EXPECT_EQ(made->outputs(), legacy.outputs());
-  EXPECT_EQ(made->epsilon_bound(), legacy.epsilon_bound());
+  EXPECT_EQ(made->name(), "revsort(256,192)");
+  EXPECT_EQ(made->inputs(), 256u);
+  EXPECT_EQ(made->outputs(), 192u);
+  EXPECT_EQ(made->epsilon_bound(), 112u);  // 7 dirty rows of 16
   EXPECT_EQ(plan_of(*made).digest(),
             plan::compile_revsort_plan(256, 192).digest());
-  expect_same_routing(*made, legacy, 256, 21);
+  expect_same_routing(*made, oracle::RevsortWiring(256, 192), 256, 21);
 }
 
 TEST(MakeSwitch, ColumnsortExplicitShapeMatchesCompiler) {
@@ -59,13 +56,12 @@ TEST(MakeSwitch, ColumnsortExplicitShapeMatchesCompiler) {
   spec.s = 8;
   spec.m = 384;
   auto made = make_switch(spec);
-  sw::ColumnsortSwitch legacy(64, 8, 384);
 
-  EXPECT_EQ(made->name(), legacy.name());
-  EXPECT_EQ(made->epsilon_bound(), legacy.epsilon_bound());
+  EXPECT_EQ(made->name(), "columnsort(r=64,s=8,m=384)");
+  EXPECT_EQ(made->epsilon_bound(), 49u);  // (s-1)^2
   EXPECT_EQ(plan_of(*made).digest(),
             plan::compile_columnsort_plan(64, 8, 384).digest());
-  expect_same_routing(*made, legacy, 512, 22);
+  expect_same_routing(*made, oracle::ColumnsortWiring(64, 8, 384), 512, 22);
 }
 
 TEST(MakeSwitch, ColumnsortBetaShapeMatchesBetaCompiler) {
@@ -115,10 +111,41 @@ TEST(MakeSwitch, HyperReturnsSingleChipSwitch) {
   spec.n = 64;
   spec.m = 16;
   auto made = make_switch(spec);
-  sw::HyperSwitch legacy(64, 16);
-  EXPECT_EQ(made->name(), legacy.name());
+  const oracle::HyperOracle chip(64, 16);
+  EXPECT_EQ(made->name(), chip.name());
   EXPECT_EQ(made->epsilon_bound(), 0u);
-  expect_same_routing(*made, legacy, 64, 23);
+  EXPECT_EQ(plan_of(*made).digest(), plan::compile_hyper_plan(64, 16).digest());
+  EXPECT_EQ(plan_of(*made).chip_count(), 1u);
+  expect_same_routing(*made, chip, 64, 23);
+}
+
+TEST(MakeSwitch, FaultedHyperLosesOnlyWithinMaxFaultLoss) {
+  // The single chip dead: every message is lost, and the switch says so.
+  SwitchSpec spec;
+  spec.family = "hyper";
+  spec.n = 64;
+  spec.m = 16;
+  spec.faults = {{0, 0}};
+  const auto sw = make_switch(spec);
+  SwitchSpec healthy_spec = spec;
+  healthy_spec.faults.clear();
+  const auto healthy = make_switch(healthy_spec);
+  EXPECT_EQ(sw->max_fault_loss(), 64u);
+  EXPECT_EQ(sw->epsilon_bound(), 64u);
+  EXPECT_EQ(sw->guaranteed_capacity(), 0u);
+  EXPECT_EQ(sw->name(), "faulty-hyperconcentrator(64,16,dead=1)");
+  Rng rng(24);
+  for (std::size_t k : {std::size_t{0}, std::size_t{5}, std::size_t{40}}) {
+    const BitVec valid = rng.exact_weight_bits(64, k);
+    const sw::SwitchRouting routing = sw->route(valid);
+    EXPECT_EQ(routing.routed_count(), 0u) << "k=" << k;
+    core::InvariantReport report;
+    EXPECT_TRUE(core::check_pattern(*sw, valid, report)) << report.to_string();
+    EXPECT_TRUE(core::check_fault_loss(*sw, valid, routing,
+                                       healthy->route(valid).routed_count(),
+                                       sw->max_fault_loss(), report))
+        << report.to_string();
+  }
 }
 
 TEST(MakeSwitch, ZeroOutputsMeansAllOutputs) {
@@ -155,12 +182,11 @@ TEST(MakeSwitch, BadSpecsThrowContractViolations) {
   EXPECT_THROW(make_switch(unknown), ContractViolation);
   EXPECT_THROW(make_switch_plan(unknown), ContractViolation);
 
-  SwitchSpec faulty_hyper;
-  faulty_hyper.family = "hyper";
-  faulty_hyper.n = 64;
-  faulty_hyper.m = 16;
-  faulty_hyper.faults = {{0, 0}};
-  EXPECT_THROW(make_switch(faulty_hyper), ContractViolation);
+  SwitchSpec no_such_chip;
+  no_such_chip.family = "hyper";
+  no_such_chip.n = 64;
+  no_such_chip.faults = {{0, 1}};  // the single chip is chip 0 of stage 0
+  EXPECT_THROW(make_switch(no_such_chip), ContractViolation);
 
   SwitchSpec half_shape;
   half_shape.family = "columnsort";

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/hyper_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -66,7 +66,7 @@ TEST(Multistage, RouteOnceConservation) {
 }
 
 TEST(Multistage, PerfectSwitchExactCounts) {
-  // With HyperSwitch nodes the per-level survivor counts are exactly
+  // With single-chip "hyper" nodes the per-level survivor counts are exactly
   // sum over nodes of min(k_node, fan_out).
   MultistageNetwork net(64, {MultistageNetwork::LevelSpec{16, 4}}, hyper_factory());
   Rng rng(301);
@@ -113,7 +113,7 @@ TEST(Multistage, MixedFactoryBuildsRevsortWhereItFits) {
 
 TEST(Multistage, FactoryMismatchRejected) {
   SwitchFactory bad = [](std::size_t, std::size_t) {
-    return std::make_unique<pcs::sw::HyperSwitch>(8, 4);  // wrong width
+    return pcs::make_switch({"hyper", 8, 4});  // wrong width
   };
   EXPECT_THROW(MultistageNetwork(64, {MultistageNetwork::LevelSpec{16, 8}}, bad),
                pcs::ContractViolation);

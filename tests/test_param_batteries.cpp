@@ -6,9 +6,9 @@
 
 #include "message/ack_protocol.hpp"
 #include "network/knockout.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch/prefix_butterfly_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
@@ -39,11 +39,11 @@ void PrintTo(const ContractCase& c, std::ostream* os) {
 std::unique_ptr<ConcentratorSwitch> build(Design d, std::size_t n, std::size_t m) {
   switch (d) {
     case Design::kHyper:
-      return std::make_unique<HyperSwitch>(n, m);
+      return pcs::make_switch({"hyper", n, m});
     case Design::kRevsort:
-      return std::make_unique<RevsortSwitch>(n, m);
+      return pcs::make_switch({"revsort", n, m});
     case Design::kColumnsort:
-      return std::make_unique<ColumnsortSwitch>(n / 4, 4, m);
+      return pcs::make_switch({.family = "columnsort", .m = m, .r = n / 4, .s = 4});
     case Design::kPrefixButterfly:
       return std::make_unique<PrefixButterflyHyperSwitch>(n, m);
   }
@@ -87,7 +87,7 @@ class KnockoutBattery
 TEST_P(KnockoutBattery, LossMonotoneInAcceptLines) {
   const auto [ports, load] = GetParam();
   auto factory = [](std::size_t n, std::size_t m) {
-    return std::make_unique<HyperSwitch>(n, m);
+    return pcs::make_switch({"hyper", n, m});
   };
   double prev = 1.0;
   for (std::size_t accept : {1u, 2u, 4u, 8u}) {
@@ -113,7 +113,9 @@ class AckBattery : public ::testing::TestWithParam<double> {};
 
 TEST_P(AckBattery, UnderProvisionedLoadAlwaysCompletes) {
   const double arrival = GetParam();
-  HyperSwitch sw(128, 64);  // capacity 64/round >> arrivals
+  // capacity 64/round >> arrivals
+  const plan::PlanSwitch sw(
+      make_switch_plan({"hyper", 128, 64}));
   Rng rng(420);
   pcs::msg::AckConfig cfg;
   cfg.max_retries = 20;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -11,7 +11,9 @@ namespace pcs::sw {
 namespace {
 
 TEST(PerfectFromPartial, ConstructorEnforcesCapacity) {
-  RevsortSwitch inner(256, 200);  // epsilon = 7*16 = 112, capacity = 88
+  // epsilon = 7*16 = 112, capacity = 88
+  const plan::PlanSwitch inner(
+      make_switch_plan({"revsort", 256, 200}));
   ASSERT_EQ(inner.guaranteed_capacity(), 88u);
   EXPECT_NO_THROW(PerfectFromPartial(inner, 128, 88));
   EXPECT_THROW(PerfectFromPartial(inner, 128, 89), pcs::ContractViolation);
@@ -21,7 +23,8 @@ TEST(PerfectFromPartial, ConstructorEnforcesCapacity) {
 TEST(PerfectFromPartial, DeliversPerfectContract) {
   // Inner: Columnsort r=64, s=8 -> epsilon 49; with m_inner = 512,
   // capacity = 463.  Wrap as a 256-by-200 "perfect" concentrator.
-  ColumnsortSwitch inner(64, 8, 512);
+  const plan::PlanSwitch inner(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   PerfectFromPartial perfect(inner, 256, 200);
   Rng rng(170);
   for (std::size_t k = 0; k <= 256; k += 16) {
@@ -33,7 +36,8 @@ TEST(PerfectFromPartial, DeliversPerfectContract) {
 }
 
 TEST(PerfectFromPartial, GuaranteeFormula) {
-  ColumnsortSwitch inner(64, 8, 512);
+  const plan::PlanSwitch inner(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   PerfectFromPartial perfect(inner, 256, 200);
   EXPECT_EQ(perfect.guaranteed_routed(0), 0u);
   EXPECT_EQ(perfect.guaranteed_routed(150), 150u);
@@ -43,13 +47,16 @@ TEST(PerfectFromPartial, GuaranteeFormula) {
 
 TEST(PerfectFromPartial, OverheadFactor) {
   // The paper's 1/alpha wire overhead: inner inputs / wrapper inputs.
-  ColumnsortSwitch inner(64, 8, 512);
+  const plan::PlanSwitch inner(
+      make_switch_plan({.family = "columnsort", .m = 512, .r = 64, .s = 8}));
   PerfectFromPartial perfect(inner, 256, 200);
   EXPECT_DOUBLE_EQ(perfect.input_overhead(), 2.0);
 }
 
 TEST(PerfectFromPartial, UnusedInnerInputsStayInvalid) {
-  RevsortSwitch inner(64, 64);  // epsilon = 5*8=40 -> capacity 24
+  // epsilon = 5*8=40 -> capacity 24
+  const plan::PlanSwitch inner(
+      make_switch_plan({"revsort", 64, 64}));
   PerfectFromPartial perfect(inner, 32, 24);
   BitVec valid(32, true);
   SwitchRouting r = perfect.route(valid);

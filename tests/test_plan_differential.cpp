@@ -4,7 +4,6 @@
 // output counts, faulty plans, and the batch entry points.  This is the
 // refactor's contract: compiling a family to the shared IR, and every
 // executor optimisation since, must not move a single message.
-#include "plan/plan_switch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -14,8 +13,8 @@
 
 #include "legacy_reference.hpp"
 #include "plan/compile.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::plan {
@@ -304,9 +303,10 @@ TEST(PlanDifferential, FamilySwitchesAreTheirCompiledPlans) {
   // The switch classes are thin compilers now; their routes must equal the
   // raw PlanSwitch over the same compiled plan.
   Rng rng(4207);
-  sw::RevsortSwitch rev(256, 100);
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 256, 100}));
   PlanSwitch rev_plan{compile_revsort_plan(256, 100)};
-  sw::ColumnsortSwitch col(16, 4, 40);
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 40, .r = 16, .s = 4}));
   PlanSwitch col_plan{compile_columnsort_plan(16, 4, 40)};
   for (int t = 0; t < 25; ++t) {
     BitVec a = rng.bernoulli_bits(256, rng.uniform01());

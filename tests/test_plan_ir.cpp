@@ -11,6 +11,7 @@
 
 #include "sortnet/columnsort.hpp"
 #include "sortnet/revsort.hpp"
+#include "switch/make_switch.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::plan {
@@ -90,6 +91,30 @@ TEST(PlanIR, MultipassAndFullSortStructure) {
   EXPECT_TRUE(saw_pad);
 }
 
+TEST(PlanIR, HyperIsOneChipOneStage) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+    const SwitchPlan p = compile_hyper_plan(n, n == 1 ? 1 : n - 1);
+    p.validate();
+    EXPECT_EQ(p.family, PlanFamily::kHyper);
+    EXPECT_EQ(p.name, "hyperconcentrator(" + std::to_string(n) + "," +
+                          std::to_string(p.m) + ")");
+    EXPECT_TRUE(p.fully_sorting);
+    EXPECT_EQ(p.epsilon, 0u);
+    ASSERT_EQ(p.stages.size(), 1u);
+    EXPECT_EQ(p.stages[0].chips, 1u);
+    EXPECT_EQ(p.stages[0].width, n);
+    EXPECT_FALSE(p.stages[0].has_shifter);
+    for (std::size_t w = 0; w < n; ++w) {
+      EXPECT_EQ(p.stages[0].in_src[w], static_cast<std::int32_t>(w));
+      EXPECT_EQ(p.readout[w], w);
+    }
+    EXPECT_EQ(p.fast_path, FastPathKind::kHyperScan);
+  }
+  EXPECT_THROW(compile_hyper_plan(0, 1), pcs::ContractViolation);
+  EXPECT_THROW(compile_hyper_plan(8, 0), pcs::ContractViolation);
+  EXPECT_THROW(compile_hyper_plan(8, 9), pcs::ContractViolation);
+}
+
 TEST(PlanIR, TalliesMatchThePaperFormulas) {
   // Revsort (Section 4): v chips per stage, shifters on the row stage,
   // area 2n^2 + 3v*v^2, volume 4vn.
@@ -117,6 +142,85 @@ TEST(PlanIR, TalliesMatchThePaperFormulas) {
   EXPECT_EQ(c.volume_3d(), 2 * s * r * r + s * s * (r / s) * (r / s));
 }
 
+// The chip inventory each family's bill of materials listed before the plan
+// tallies replaced it, over the shapes the family tests build: w-wide
+// hyperconcentrator chips, barrel shifters, and the widest chip's pins.
+// The constants were recorded from the per-family bill_of_materials()
+// methods, checked against these tallies, before those methods went.
+struct InventoryRow {
+  SwitchSpec spec;
+  std::size_t hyper_chips, shifters, max_pins;
+};
+
+std::vector<InventoryRow> inventory_rows() {
+  std::vector<InventoryRow> rows;
+  const auto add = [&rows](SwitchSpec spec, std::size_t hyper,
+                           std::size_t shifters, std::size_t pins) {
+    rows.push_back(InventoryRow{std::move(spec), hyper, shifters, pins});
+  };
+  // Revsort: 3 sqrt(n) chips of 2 sqrt(n) pins, sqrt(n) shifters adding
+  // ceil(lg sqrt(n)) hardwired control pins.
+  add({"revsort", 4}, 6, 2, 5);
+  add({"revsort", 16}, 12, 4, 10);
+  add({"revsort", 64}, 24, 8, 19);
+  add({"revsort", 256}, 48, 16, 36);
+  add({"revsort", 1024}, 96, 32, 69);
+  add({"revsort", 4096}, 192, 64, 134);
+  // Columnsort: 2s chips of 2r pins.
+  const std::size_t shapes[][3] = {
+      {4, 2, 4}, {16, 4, 8}, {64, 2, 4}, {64, 8, 16}, {256, 16, 32}, {32, 4, 8}};
+  for (const auto& [r, s, hyper] : shapes) {
+    SwitchSpec spec{"columnsort"};
+    spec.r = r;
+    spec.s = s;
+    add(spec, hyper, 0, 2 * r);
+  }
+  // Multipass: (passes + 1) s chips of 2r pins, either schedule.
+  for (std::size_t d = 1; d <= 4; ++d) {
+    for (ReshapeSchedule sch :
+         {ReshapeSchedule::kSame, ReshapeSchedule::kAlternating}) {
+      SwitchSpec spec{"multipass"};
+      spec.r = 64;
+      spec.s = 8;
+      spec.passes = d;
+      spec.schedule = sch;
+      add(spec, (d + 1) * 8, 0, 128);
+    }
+  }
+  // Full Revsort: (2 reps + 8) sqrt(n) chips, reps sqrt(n) shifters.
+  add({"full-revsort", 4}, 20, 2, 5);
+  add({"full-revsort", 16}, 40, 4, 10);
+  add({"full-revsort", 64}, 96, 16, 19);
+  add({"full-revsort", 256}, 192, 32, 36);
+  add({"full-revsort", 1024}, 448, 96, 69);
+  add({"full-revsort", 4096}, 896, 192, 134);
+  // Full Columnsort: 3s + (s + 1) chips of 2r pins.
+  const std::size_t full_shapes[][3] = {
+      {8, 2, 9}, {32, 4, 17}, {64, 4, 17}, {128, 8, 33}, {18, 3, 13}};
+  for (const auto& [r, s, hyper] : full_shapes) {
+    SwitchSpec spec{"full-columnsort"};
+    spec.r = r;
+    spec.s = s;
+    add(spec, hyper, 0, 2 * r);
+  }
+  // Section 1's single chip: one n-wide hyperconcentrator, 2n pins.
+  for (std::size_t n : {1, 7, 64, 100, 256, 4096}) add({"hyper", n}, 1, 0, 2 * n);
+  return rows;
+}
+
+TEST(PlanTallies, MatchFamilyBillsOfMaterials) {
+  for (const InventoryRow& row : inventory_rows()) {
+    SCOPED_TRACE(row.spec.family + " n=" + std::to_string(row.spec.n) +
+                 " r=" + std::to_string(row.spec.r) +
+                 " passes=" + std::to_string(row.spec.passes));
+    const SwitchPlan p = make_switch_plan(row.spec);
+    EXPECT_EQ(p.board_count(), row.hyper_chips);
+    EXPECT_EQ(p.shifter_count(), row.shifters);
+    EXPECT_EQ(p.chip_count(), row.hyper_chips + row.shifters);
+    EXPECT_EQ(p.max_pins_per_chip(), row.max_pins);
+  }
+}
+
 TEST(PlanIR, GoldenDigests) {
   // Structural fingerprints of the compiled wiring.  A change here means
   // the switch hardware itself changed -- update only with a differential
@@ -133,6 +237,7 @@ TEST(PlanIR, GoldenDigests) {
             0xab83e061583b8049ull);
   EXPECT_EQ(compile_full_revsort_plan(64).digest(), 0x569aab3746ab4ee2ull);
   EXPECT_EQ(compile_full_columnsort_plan(32, 4).digest(), 0x79d1fc849b7af6b5ull);
+  EXPECT_EQ(compile_hyper_plan(256, 192).digest(), 0x10b8ff28b157fc50ull);
 }
 
 TEST(PlanIR, DigestSeesShapeWiringAndFaults) {

@@ -10,14 +10,11 @@
 
 #include "core/lemmas.hpp"
 #include "message/clocked_sim.hpp"
-#include "switch/columnsort_switch.hpp"
-#include "switch/comparator_switch.hpp"
 #include "plan/compile.hpp"
 #include "plan/plan_switch.hpp"
-#include "switch/full_sort_hyper.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/multipass_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/comparator_switch.hpp"
+#include "switch/make_switch.hpp"
+#include "switch/prefix_butterfly_switch.hpp"
 #include "util/rng.hpp"
 
 namespace pcs::sw {
@@ -25,15 +22,17 @@ namespace {
 
 std::vector<std::unique_ptr<ConcentratorSwitch>> all_switches() {
   std::vector<std::unique_ptr<ConcentratorSwitch>> out;
-  out.push_back(std::make_unique<HyperSwitch>(64, 40));
+  out.push_back(pcs::make_switch({"hyper", 64, 40}));
   out.push_back(std::make_unique<PrefixButterflyHyperSwitch>(64, 40));
-  out.push_back(std::make_unique<RevsortSwitch>(64, 40));
-  out.push_back(std::make_unique<ColumnsortSwitch>(16, 4, 40));
-  out.push_back(std::make_unique<MultipassColumnsortSwitch>(16, 4, 2, 40));
-  out.push_back(std::make_unique<MultipassColumnsortSwitch>(
-      16, 4, 3, 40, ReshapeSchedule::kAlternating));
-  out.push_back(std::make_unique<FullRevsortHyper>(64));
-  out.push_back(std::make_unique<FullColumnsortHyper>(32, 2));
+  out.push_back(pcs::make_switch({"revsort", 64, 40}));
+  out.push_back(pcs::make_switch({.family = "columnsort", .m = 40, .r = 16, .s = 4}));
+  out.push_back(pcs::make_switch(
+      {.family = "multipass", .m = 40, .r = 16, .s = 4, .passes = 2}));
+  out.push_back(pcs::make_switch(
+      {.family = "multipass", .m = 40, .r = 16, .s = 4, .passes = 3,
+       .schedule = plan::ReshapeSchedule::kAlternating}));
+  out.push_back(pcs::make_switch({"full-revsort", 64}));
+  out.push_back(pcs::make_switch({.family = "full-columnsort", .r = 32, .s = 2}));
   out.push_back(
       std::make_unique<ComparatorSwitch>(ComparatorSwitch::batcher_hyper(64, 40)));
   plan::SwitchPlan faulty = plan::compile_revsort_plan(64, 40);

@@ -181,12 +181,17 @@ TEST(RuntimeConfig, MakeSwitchBuildsEveryFamily) {
   cfg.m = 128;
   cfg.beta = 0.75;
   for (const char* family : {"revsort", "columnsort", "hyper"}) {
-    auto sw = make_switch(family, cfg);
+    auto sw = pcs::make_switch(switch_spec_from(cfg, family));
     ASSERT_NE(sw, nullptr) << family;
     EXPECT_EQ(sw->inputs(), 256u) << family;
     EXPECT_EQ(sw->outputs(), 128u) << family;
   }
-  EXPECT_THROW(make_switch("banyan", cfg), ContractViolation);
+  // A faulted config keeps its dead chips, on every family.
+  cfg.faults = {{0, 0}};
+  EXPECT_EQ(pcs::make_switch(switch_spec_from(cfg, "hyper"))->max_fault_loss(),
+            256u);
+  EXPECT_THROW(pcs::make_switch(switch_spec_from(cfg, "banyan")),
+               ContractViolation);
 }
 
 TEST(RuntimeConfig, MakeTrafficBuildsEveryArrival) {
@@ -270,9 +275,12 @@ fault_hop = 1
                ContractViolation);
   EXPECT_THROW(parse_config_text("topology = omega\ncredits = 0"),
                ContractViolation);
-  // Fabric nodes must be plan-compiled: "hyper" cannot be composed.
-  EXPECT_THROW(parse_config_text("topology = omega\nfamily = hyper"),
-               ContractViolation);
+  // Every family compiles to a plan, so "hyper" nodes and faulted "hyper"
+  // switches are valid campaigns too.
+  EXPECT_EQ(parse_config_text("topology = omega\nfamily = hyper").family,
+            "hyper");
+  EXPECT_EQ(parse_config_text("family = hyper\nfaults = 0:0").faults.size(),
+            1u);
   // The fabric keys echo into the config JSON.
   const std::string json = config_to_json(cfg, 0);
   EXPECT_NE(json.find("\"topology\": \"omega\""), std::string::npos);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fabric/fabric_config.hpp"
+#include "switch_oracles.hpp"
 #include "util/assert.hpp"
 
 namespace pcs::serve {
@@ -143,6 +144,56 @@ TEST(ServeDaemon, ResolveRefusesWhatAConfigFileRefuses) {
                ContractViolation);
 
   // The daemon keeps serving afterwards.
+  EXPECT_EQ(daemon.handle_campaign(default_request("t0")).status, Status::kOk);
+}
+
+TEST(ServeDaemon, HyperRequestsRunFromTheCache) {
+  ServeDaemon daemon(small_base(), ServeOptions{});
+  CampaignRequest req = default_request("t0");
+  req.family = "hyper";
+  const CampaignReply a = daemon.handle_campaign(req);
+  req.tenant = "t1";
+  const CampaignReply b = daemon.handle_campaign(req);
+  ASSERT_EQ(a.status, Status::kOk) << a.reason;
+  ASSERT_EQ(b.status, Status::kOk) << b.reason;
+  EXPECT_FALSE(a.cache_hit);
+  EXPECT_TRUE(b.cache_hit);
+
+  // The same campaign over the hyperconcentrator chip itself (the test
+  // oracle, no plan): identical accounting.
+  rt::RuntimeConfig cfg = small_base();
+  cfg.family = "hyper";
+  cfg.seed = 3;  // default_request pins the seed
+  const oracle::HyperOracle chip(cfg.n, cfg.m);
+  rt::FabricRuntime runtime(chip, rt::runtime_options_from(cfg),
+                            [&cfg](std::size_t) {
+                              return rt::make_traffic(cfg, cfg.n);
+                            });
+  rt::MetricsRegistry local;
+  runtime.run(local);
+  EXPECT_GT(local.counter("total.offered").value(), 0u);
+  for (const CampaignReply& rep : {a, b}) {
+    EXPECT_EQ(rep.offered, local.counter("total.offered").value());
+    EXPECT_EQ(rep.delivered, local.counter("total.delivered").value());
+    EXPECT_EQ(rep.dropped, local.counter("total.dropped").value());
+  }
+}
+
+TEST(ServeDaemon, FamilyListIsRefusedByName) {
+  // pcs_serve sweeps a family list; one daemon request runs one campaign,
+  // on a single switch or a fabric alike.
+  ServeDaemon daemon(small_base(), ServeOptions{});
+  for (const char* topology : {"", "omega"}) {
+    CampaignRequest req = default_request("t0");
+    req.family = "revsort,columnsort";
+    req.topology = topology;
+    const CampaignReply rep = daemon.handle_campaign(req);
+    EXPECT_EQ(rep.status, Status::kError) << topology;
+    EXPECT_NE(rep.reason.find("exactly one family"), std::string::npos)
+        << rep.reason;
+    EXPECT_NE(rep.reason.find("'revsort,columnsort'"), std::string::npos)
+        << rep.reason;
+  }
   EXPECT_EQ(daemon.handle_campaign(default_request("t0")).status, Status::kOk);
 }
 

@@ -7,7 +7,8 @@
 
 #include <algorithm>
 
-#include "switch/revsort_switch.hpp"
+#include "plan/plan_switch.hpp"
+#include "switch/make_switch.hpp"
 #include "traffic/pattern.hpp"
 #include "util/assert.hpp"
 
@@ -24,7 +25,7 @@ SearchOptions fast_opts(std::size_t k = 0) {
 }
 
 TEST(TrafficSearch, DefaultsToJustPastTheGuarantee) {
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   const SearchResult r = worst_concentration_search(s, fast_opts());
   EXPECT_EQ(r.k, s.guaranteed_capacity() + 1);
   EXPECT_EQ(r.worst.count(), r.k);
@@ -32,7 +33,7 @@ TEST(TrafficSearch, DefaultsToJustPastTheGuarantee) {
 }
 
 TEST(TrafficSearch, NeverBeatsTheContractFloor) {
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   const std::size_t cap = s.guaranteed_capacity();
   for (std::size_t k : {cap + 1, cap + 3, std::size_t{48}, std::size_t{64}}) {
     const SearchResult r = worst_concentration_search(s, fast_opts(k));
@@ -47,7 +48,7 @@ TEST(TrafficSearch, NeverBeatsTheContractFloor) {
 }
 
 TEST(TrafficSearch, BelowCapacityEverythingRoutes) {
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   const std::size_t k = s.guaranteed_capacity();
   const SearchResult r = worst_concentration_search(s, fast_opts(k));
   EXPECT_EQ(r.routed, k);
@@ -55,7 +56,7 @@ TEST(TrafficSearch, BelowCapacityEverythingRoutes) {
 }
 
 TEST(TrafficSearch, DeterministicPerSeed) {
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   const SearchResult a = worst_concentration_search(s, fast_opts());
   const SearchResult b = worst_concentration_search(s, fast_opts());
   EXPECT_EQ(a.worst, b.worst);
@@ -66,7 +67,7 @@ TEST(TrafficSearch, DeterministicPerSeed) {
 TEST(TrafficSearch, AtLeastAsBadAsTheStructuredFamily) {
   // The restarts seed from the structured adversarial layouts, so the hill
   // climb can only improve (lower routed count) on the family's best.
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   SearchOptions o = fast_opts(s.outputs());
   const SearchResult r = worst_concentration_search(s, o);
   std::size_t family_best = s.outputs();
@@ -78,7 +79,7 @@ TEST(TrafficSearch, AtLeastAsBadAsTheStructuredFamily) {
 }
 
 TEST(TrafficSearch, RejectsImpossibleK) {
-  sw::RevsortSwitch s(64, 48);
+  const plan::PlanSwitch s(make_switch_plan({"revsort", 64, 48}));
   EXPECT_THROW(worst_concentration_search(s, fast_opts(65)), ContractViolation);
 }
 

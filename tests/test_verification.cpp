@@ -2,20 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include "switch/columnsort_switch.hpp"
+#include "plan/plan_switch.hpp"
 #include "switch/comparator_switch.hpp"
 #include "plan/compile.hpp"
-#include "plan/plan_switch.hpp"
-#include "switch/hyper_switch.hpp"
-#include "switch/revsort_switch.hpp"
+#include "switch/make_switch.hpp"
 
 namespace pcs::core {
 namespace {
 
 TEST(Verification, LibrarySwitchesPass) {
-  pcs::sw::HyperSwitch hyper(64, 32);
-  pcs::sw::RevsortSwitch rev(64, 48);
-  pcs::sw::ColumnsortSwitch col(16, 4, 48);
+  const plan::PlanSwitch hyper(make_switch_plan({"hyper", 64, 32}));
+  const plan::PlanSwitch rev(make_switch_plan({"revsort", 64, 48}));
+  const plan::PlanSwitch col(
+      make_switch_plan({.family = "columnsort", .m = 48, .r = 16, .s = 4}));
   for (const pcs::sw::ConcentratorSwitch* sw :
        std::initializer_list<const pcs::sw::ConcentratorSwitch*>{&hyper, &rev,
                                                                  &col}) {
@@ -27,7 +26,7 @@ TEST(Verification, LibrarySwitchesPass) {
 }
 
 TEST(Verification, ReportListsAllChecks) {
-  pcs::sw::HyperSwitch sw(16, 8);
+  const plan::PlanSwitch sw(make_switch_plan({"hyper", 16, 8}));
   Rng rng(431);
   VerifyReport report = verify_switch(sw, rng);
   ASSERT_EQ(report.checks.size(), 6u);
@@ -71,7 +70,7 @@ TEST(Verification, FaultySwitchPassesWithEpsilonCheckDisabled) {
 }
 
 TEST(Verification, DeterministicPerSeed) {
-  pcs::sw::RevsortSwitch sw(64, 48);
+  const plan::PlanSwitch sw(make_switch_plan({"revsort", 64, 48}));
   Rng a(434), b(434);
   VerifyReport ra = verify_switch(sw, a);
   VerifyReport rb = verify_switch(sw, b);

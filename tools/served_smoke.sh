@@ -12,7 +12,8 @@
 # composable traffic model (pattern=hotspot injection=onoff) additionally
 # round-trips the wire protocol end to end, and a multi-hop fabric
 # campaign must answer with identical traffic totals whether the daemon
-# runs it on the serial schedule or the four-deep epoch pipeline.
+# runs it on the serial schedule or the four-deep epoch pipeline.  Two
+# single-chip "hyper" requests run from the plan cache like any family.
 set -euo pipefail
 
 BIN=$(cd "${1:-build/examples}" && pwd)
@@ -99,6 +100,28 @@ import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 assert c.get("serve.fabric_campaigns", 0) == 2, "fabric campaigns not counted"
 print(f"fabric ok: {c['serve.fabric_campaigns']} campaigns, totals identical")
+EOF
+
+echo "== single-chip hyper campaigns run from the plan cache"
+# Every family compiles to a plan, so the daemon serves "hyper" like any
+# other family: the second identical request is a cache hit.  (Runs after
+# the count assertions above so they hold.)
+"$BIN/pcs_loadgen" socket="$SOCK" scrape="$WORK/scrape_pre_hyper.json" > /dev/null
+"$BIN/pcs_loadgen" socket="$SOCK" tenants=1 requests=1 require=ok \
+  family=hyper | tee "$WORK/hyper1.txt"
+"$BIN/pcs_loadgen" socket="$SOCK" tenants=1 requests=1 require=ok \
+  family=hyper | tee "$WORK/hyper2.txt"
+"$BIN/pcs_loadgen" socket="$SOCK" scrape="$WORK/scrape_hyper.json" > /dev/null
+python3 - "$WORK/scrape_pre_hyper.json" "$WORK/scrape_hyper.json" <<'EOF'
+import json, sys
+before = json.load(open(sys.argv[1]))["counters"]
+after = json.load(open(sys.argv[2]))["counters"]
+assert after["serve.cache.hits"] > before["serve.cache.hits"], \
+    "repeated hyper request missed the plan cache"
+assert (after["serve.campaigns_completed"]
+        == before["serve.campaigns_completed"] + 2), "hyper campaigns not run"
+print(f"hyper ok: cache hits {before['serve.cache.hits']} -> "
+      f"{after['serve.cache.hits']}")
 EOF
 
 echo "== SIGHUP mid-run; in-flight campaign survives"
